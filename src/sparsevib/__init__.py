@@ -54,7 +54,6 @@ from .pipeline import (
     classify_dataset,
     feature_matrix,
     filter_signal,
-    filtered_signal,
     gradient_check,
     two_branch_features,
 )
@@ -72,7 +71,6 @@ from .sparse_filter import (
     CsfConfig,
     CsfResult,
     csf_cost,
-    csf_cost_multi,
     csf_gradient,
     fit_med,
     fit_simplified_csf,

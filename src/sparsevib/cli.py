@@ -12,11 +12,11 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .core_signal import Signal
 from .errors import DegenerateInputError, NumericalFailureError, SignalParseError
 from .features import (
     DEFAULT_BAND_FRACTION,
@@ -27,7 +27,7 @@ from .features import (
     fault_frequencies,
 )
 from .health_models import SomConfig
-from .ingest import iterate_run_to_failure, read_ims_file
+from .ingest import iterate_run_to_failure, read_ims_file, write_ims_file
 from .pipeline import (
     DEFAULT_ASSESS_SOM,
     assess_sequence,
@@ -61,13 +61,6 @@ def _out_path(path_str):
     return path
 
 
-def _write_signal_csv(path, samples):
-    with open(path, "w") as fh:
-        fh.write("sample\n")
-        for v in samples:
-            fh.write(f"{v:.17g}\n")
-
-
 def _write_sidecar(path, payload):
     sidecar = Path(str(path) + ".json")
     with open(sidecar, "w") as fh:
@@ -75,40 +68,17 @@ def _write_sidecar(path, payload):
     return sidecar
 
 
-def _read_signal_csv(path, sample_rate_hz=None, column=0):
-    """Single-channel signal from a delimited file; header row optional.
-
-    Falls back to the sidecar JSON for the sample rate when not given.
-    """
-    path = Path(path)
+def _read_signal(path, sample_rate_hz):
+    """Channel 0 of a signal file; the sample rate falls back to its sidecar."""
     if sample_rate_hz is None:
         sidecar = Path(str(path) + ".json")
         if sidecar.exists():
-            with open(sidecar) as fh:
-                meta = json.load(fh)
-            sample_rate_hz = meta.get("config", {}).get("sample_rate_hz")
+            sample_rate_hz = json.loads(sidecar.read_text()).get("sample_rate_hz")
     if sample_rate_hz is None:
         raise ValueError(
-            f"{path.name}: sample rate unknown; pass --sample-rate or provide a sidecar"
+            f"{Path(path).name}: sample rate unknown; pass --sample-rate or provide a sidecar"
         )
-    values = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            token = stripped.split(",")[column].strip()
-            try:
-                values.append(float(token))
-            except ValueError:
-                if line_no == 1:  # header row
-                    continue
-                raise SignalParseError(
-                    f"{path.name}: non-numeric content on line {line_no}", line=line_no
-                ) from None
-    if len(values) < 2:
-        raise SignalParseError(f"{path.name}: fewer than 2 samples")
-    return Signal(np.asarray(values), float(sample_rate_hz))
+    return read_ims_file(path, sample_rate_hz, expected_rows=None).channel_signal(0)
 
 
 def _sim_config_from_args(args):
@@ -121,7 +91,7 @@ def _sim_config_from_args(args):
         resonance_hz=args.resonance_hz,
         damping_rate=args.damping_rate,
         shaft_hz=args.shaft_hz,
-        snr_db=math.inf if args.snr_db is None else args.snr_db,
+        snr_db=args.snr_db,
         n_samples=args.n_samples,
         sample_rate_hz=args.sample_rate,
         period_jitter_fraction=args.jitter,
@@ -129,22 +99,9 @@ def _sim_config_from_args(args):
     )
 
 
-def _sim_config_dict(config):
-    payload = {
-        "fault_components": list(config.fault_components),
-        "outer_fault_hz": config.outer_fault_hz,
-        "inner_fault_hz": config.inner_fault_hz,
-        "roller_fault_hz": config.roller_fault_hz,
-        "resonance_hz": config.resonance_hz,
-        "damping_rate": config.damping_rate,
-        "shaft_hz": config.shaft_hz,
-        "snr_db": None if math.isinf(config.snr_db) else config.snr_db,
-        "n_samples": config.n_samples,
-        "sample_rate_hz": config.sample_rate_hz,
-        "period_jitter_fraction": config.period_jitter_fraction,
-        "seed": config.seed,
-    }
-    return payload
+def _json_dict(items):
+    """``asdict`` factory for sidecars: JSON has no infinity, so a noiseless ``snr_db`` is null."""
+    return {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in items}
 
 
 def _csf_config_from_args(args):
@@ -156,17 +113,6 @@ def _csf_config_from_args(args):
         init_scheme=args.init,
         seed=args.seed,
     )
-
-
-def _csf_config_dict(config):
-    return {
-        "filter_length": config.filter_length,
-        "epsilon": config.epsilon,
-        "max_iterations": config.max_iterations,
-        "gradient_tolerance": config.gradient_tolerance,
-        "init_scheme": config.init_scheme,
-        "seed": config.seed,
-    }
 
 
 def _fault_frequencies_from_args(args):
@@ -188,8 +134,7 @@ def _fault_frequencies_from_args(args):
 
 def _add_sim_flags(parser):
     parser.add_argument("--fault", default="", help="comma list from {outer,inner,roller}; empty = normal")
-    parser.add_argument("--snr-db", type=float, default=-8.0, help="signal-to-noise ratio; omit noise with --noiseless")
-    parser.add_argument("--noiseless", action="store_true")
+    parser.add_argument("--snr-db", type=float, default=-8.0, help="signal-to-noise ratio, dB")
     parser.add_argument("--n-samples", type=int, default=20480)
     parser.add_argument("--sample-rate", type=float, default=20000.0)
     parser.add_argument("--resonance-hz", type=float, default=3000.0)
@@ -218,16 +163,17 @@ def _add_fault_freq_flags(parser):
 
 
 def cmd_simulate(args):
-    if args.noiseless:
-        args.snr_db = None
     config = _sim_config_from_args(args)
+    if args.noiseless:
+        config = config.with_overrides(snr_db=math.inf)
     signal = simulate_bearing_fault(config)
     out = _out_path(args.output)
-    _write_signal_csv(out, signal.samples)
+    write_ims_file(out, signal.samples[:, None], header="sample")
     _write_sidecar(out, {
         "kind": "simulate",
-        "config": _sim_config_dict(config),
+        "config": asdict(config, dict_factory=_json_dict),
         "seed": config.seed,
+        "sample_rate_hz": config.sample_rate_hz,
         "n_samples_written": len(signal),
     })
     print(f"wrote {out} ({len(signal)} samples) + sidecar")
@@ -235,17 +181,17 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    signal = _read_signal_csv(args.input, args.sample_rate)
+    signal = _read_signal(args.input, args.sample_rate)
     config = _csf_config_from_args(args)
     t0 = time.perf_counter()
     result = filter_signal(signal, config, method=args.method)
     wall = time.perf_counter() - t0
     out = _out_path(args.output)
-    _write_signal_csv(out, result.filtered)
+    write_ims_file(out, result.filtered[:, None], header="sample")
     report = {
         "kind": "filter",
         "method": args.method,
-        "config": _csf_config_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
         "sample_rate_hz": signal.sample_rate_hz,
         "input_samples": len(signal),
@@ -264,7 +210,7 @@ def cmd_filter(args):
 
 
 def cmd_features(args):
-    signal = _read_signal_csv(args.input, args.sample_rate)
+    signal = _read_signal(args.input, args.sample_rate)
     faults = _fault_frequencies_from_args(args)
     vector = extract_feature_vector(signal, faults, args.band_fraction)
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
@@ -322,7 +268,7 @@ def cmd_assess(args):
         base = _sim_config_from_args(args)
         signals = make_degradation_sequence(args.n_files, args.onset, base)
         source = {"simulated_degradation": {"n_files": args.n_files, "onset": args.onset,
-                                            "config": _sim_config_dict(base)}}
+                                            "config": asdict(base, dict_factory=_json_dict)}}
     if len(signals) < args.n_train + 1:
         raise ValueError(f"need at least {args.n_train + 1} snapshots, got {len(signals)}")
 
@@ -344,7 +290,7 @@ def cmd_assess(args):
         "band_fraction": args.band_fraction,
         "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
                                  "bsf": faults.bsf_hz},
-        "csf_config": _csf_config_dict(csf_config),
+        "csf_config": asdict(csf_config),
         "som": {"grid_rows": som_config.grid_rows, "grid_cols": som_config.grid_cols,
                 "epochs": som_config.epochs, "seed": som_config.seed},
         "raw": {"threshold": report.raw.threshold, "alarm_index": report.raw.alarm_index},
@@ -392,7 +338,7 @@ def cmd_classify(args):
         base = _sim_config_from_args(args)
         dataset = make_fault_taxonomy_dataset(args.n_per_class, base, seed=args.seed)
         source = {"simulated_taxonomy": {"n_per_class": args.n_per_class,
-                                         "config": _sim_config_dict(base)}}
+                                         "config": asdict(base, dict_factory=_json_dict)}}
     csf_config = _csf_config_from_args(args)
     report = classify_dataset(dataset, faults, csf_config,
                               band_fraction=args.band_fraction,
@@ -416,7 +362,7 @@ def cmd_classify(args):
         "band_fraction": args.band_fraction,
         "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
                                  "bsf": faults.bsf_hz},
-        "csf_config": _csf_config_dict(csf_config),
+        "csf_config": asdict(csf_config),
         "kmeans_restarts": args.restarts,
         "raw": {"purity": report.raw.purity,
                 "explained_variance": report.raw.explained_variance_fractions.tolist(),
@@ -456,6 +402,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
     _add_sim_flags(p)
+    p.add_argument("--noiseless", action="store_true", help="add no noise (overrides --snr-db)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)

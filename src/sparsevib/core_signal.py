@@ -137,17 +137,21 @@ def convolve_valid(signal, w):
     -------
     np.ndarray
     """
-    y = signal.samples
+    return _correlate_valid(signal.samples, _validated_filter(signal, w))
+
+
+def _validated_filter(signal, w):
+    """``w`` as a float array, checked to be 1-D, finite and 2..N/2 taps long."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("filter coefficients must be one-dimensional")
-    n = y.size
+    n = signal.samples.size
     l = w.size
     if l < 2 or l > n // 2:
         raise ValueError(f"filter length {l} outside [2, N/2] for N={n}")
     if not np.all(np.isfinite(w)):
         raise ValueError("filter coefficients contain non-finite values")
-    return _correlate_valid(y, w)
+    return w
 
 
 def hilbert_envelope(signal):

@@ -2,10 +2,10 @@
 
 The supported layout is the classic NASA/IMS one: plain-text files, one
 row per sample, tab-separated sensor channels, and the acquisition
-timestamp encoded in the filename as ``YYYY.MM.DD.HH.MM.SS``.  Files
-carry no header, so the sample rate is supplied by the caller.  A
-configurable delimiter makes the same parser usable for generic
-delimited signal files.
+timestamp encoded in the filename as ``YYYY.MM.DD.HH.MM.SS``.  The same
+reader and writer serve the CLI's one-column signal CSV, which adds a
+``sample`` header line.  Files carry no sample rate, so the caller
+supplies it.
 """
 
 import os
@@ -59,39 +59,67 @@ def _parse_timestamp(path):
         return None
 
 
-def read_ims_file(path, sample_rate_hz, delimiter="\t", expected_rows=IMS_EXPECTED_ROWS):
-    """Parse a delimited all-numeric snapshot file.
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
-    A row count different from ``expected_rows`` only produces a warning
-    (real datasets contain truncated files); a non-numeric token raises
-    :class:`SignalParseError` carrying the offending 1-based line number.
+
+def _raise_at_bad_line(path, has_header):
+    """Raise :class:`SignalParseError` at the first malformed line, if any.
+
+    Runs only after the bulk parse failed: ``np.loadtxt`` numbers rows
+    from 0 with blank lines left out, so its row is not the file line.
     """
-    path = Path(path)
-    rows = []
     width = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped:
+            if not stripped or (has_header and line_no == 1):
                 continue
-            parts = stripped.split(delimiter) if delimiter else stripped.split()
-            try:
-                row = [float(tok) for tok in parts]
-            except ValueError:
+            tokens = stripped.split("\t")
+            if not all(map(_is_number, tokens)):
                 raise SignalParseError(
                     f"{path.name}: non-numeric content on line {line_no}", line=line_no
-                ) from None
+                )
             if width is None:
-                width = len(row)
-            elif len(row) != width:
+                width = len(tokens)
+            elif len(tokens) != width:
                 raise SignalParseError(
-                    f"{path.name}: expected {width} columns on line {line_no}, got {len(row)}",
+                    f"{path.name}: expected {width} columns on line {line_no}, got {len(tokens)}",
                     line=line_no,
                 )
-            rows.append(row)
-    if not rows:
+
+
+def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
+    """Parse a tab-separated all-numeric snapshot file.
+
+    Line 1 is taken as a header and skipped when its first field is not a
+    number; blank and whitespace-only lines are skipped.  A row count
+    different from ``expected_rows`` only produces a warning (real
+    datasets contain truncated files); a non-numeric token or a ragged row
+    raises :class:`SignalParseError` carrying the offending 1-based line
+    number.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        has_header = not _is_number(fh.readline().strip().split("\t")[0])
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # An empty file is reported below as a SignalParseError.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                channels = np.loadtxt(
+                    (line.strip() for line in fh), delimiter="\t", comments=None,
+                    skiprows=int(has_header), ndmin=2,
+                )
+        except ValueError as exc:
+            _raise_at_bad_line(path, has_header)
+            raise SignalParseError(f"{path.name}: {exc}") from None
+    if channels.size == 0:
         raise SignalParseError(f"{path.name}: file contains no samples")
-    channels = np.asarray(rows, dtype=np.float64)
     if expected_rows and channels.shape[0] != expected_rows:
         warnings.warn(
             f"{path.name}: {channels.shape[0]} rows, expected {expected_rows}"
@@ -102,17 +130,19 @@ def read_ims_file(path, sample_rate_hz, delimiter="\t", expected_rows=IMS_EXPECT
     )
 
 
-def write_ims_file(path, channels, delimiter="\t"):
+def write_ims_file(path, channels, header=None):
     """Serialize a channel matrix in the same text layout, losslessly.
 
     Values print with ``%.17g`` so a parse/serialize round trip reproduces
-    every float64 bit pattern.
+    every float64 bit pattern.  ``header``, when given, is written as the
+    first line.
     """
     channels = np.atleast_2d(np.asarray(channels, dtype=np.float64))
+    row = "\t".join(["%.17g"] * channels.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in channels:
-            fh.write(delimiter.join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+        if header is not None:
+            fh.write(header + "\n")
+        fh.write(row * channels.shape[0] % tuple(channels.ravel()))
 
 
 @dataclass
@@ -131,14 +161,14 @@ def iterate_run_to_failure(
     directory,
     channel,
     sample_rate_hz,
-    delimiter="\t",
     expected_rows=IMS_EXPECTED_ROWS,
 ):
     """Read every snapshot in a directory in filename-timestamp order.
 
     Files whose names do not parse as timestamps, or whose contents fail
     to parse, are recorded in ``errors`` and skipped; iteration continues.
-    The sequence index of the result is the chronological "test file No.".
+    A ``channel`` that no parsed file has raises ``ValueError``.  The
+    sequence index of the result is the chronological "test file No.".
     """
     directory = Path(directory)
     entries = sorted(p for p in directory.iterdir() if p.is_file())
@@ -154,14 +184,19 @@ def iterate_run_to_failure(
         stamped.append((ts, path))
     stamped.sort(key=lambda item: (item[0], item[1].name))
 
-    signals, paths = [], []
+    signals, paths, n_parsed = [], [], 0
     for _, path in stamped:
         try:
-            snapshot = read_ims_file(path, sample_rate_hz, delimiter, expected_rows)
+            snapshot = read_ims_file(path, sample_rate_hz, expected_rows)
+            n_parsed += 1
             signals.append(snapshot.channel_signal(channel))
             paths.append(path)
-        except (SignalParseError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             errors.append((str(path), str(exc)))
+    if n_parsed and not signals:
+        raise ValueError(
+            f"channel {channel} is out of range in all {n_parsed} parseable snapshots in {directory}"
+        )
     if not signals:
         raise FileNotFoundError(f"no parseable snapshot files in {directory}")
     return RunToFailureSequence(signals=signals, paths=paths, errors=errors)

@@ -27,7 +27,6 @@ from .sparse_filter import CsfConfig, csf_cost, csf_gradient, fit_med, fit_simpl
 
 __all__ = [
     "filter_signal",
-    "filtered_signal",
     "feature_matrix",
     "two_branch_features",
     "BranchAssessment",
@@ -59,11 +58,6 @@ def filter_signal(signal, config=None, method="csf"):
     raise ValueError(f"unknown filter method {method!r}")
 
 
-def filtered_signal(signal, result):
-    """Wrap a fit's filtered output as a Signal at the input sample rate."""
-    return Signal(result.filtered, signal.sample_rate_hz)
-
-
 def feature_matrix(signals, faults, band_fraction=DEFAULT_BAND_FRACTION):
     """Stack per-signal feature vectors into a FeatureMatrix."""
     rows = [extract_feature_vector(s, faults, band_fraction).as_array() for s in signals]
@@ -75,7 +69,7 @@ def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_
     csf_config = csf_config or CsfConfig()
     raw = feature_matrix(signals, faults, band_fraction)
     enhanced = [
-        filtered_signal(s, fit_simplified_csf(s, csf_config)) for s in signals
+        Signal(fit_simplified_csf(s, csf_config).filtered, s.sample_rate_hz) for s in signals
     ]
     filtered = feature_matrix(enhanced, faults, band_fraction)
     return raw, filtered

@@ -14,20 +14,19 @@ fixed-point iteration on the kurtosis objective, is included as the
 comparison baseline.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .core_signal import _correlate_valid, convolve_valid
+from .core_signal import _correlate_valid, _validated_filter
 from .errors import DegenerateInputError, NumericalFailureError
 
 __all__ = [
     "CsfConfig",
     "CsfResult",
     "csf_cost",
-    "csf_cost_multi",
     "csf_gradient",
     "fit_simplified_csf",
     "fit_med",
@@ -74,9 +73,6 @@ class CsfConfig:
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}")
 
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
-
 
 @dataclass
 class CsfResult:
@@ -116,22 +112,6 @@ def csf_cost(f, epsilon=1e-8):
     return float(c.sum() / np.sqrt(np.dot(c, c)))
 
 
-def csf_cost_multi(feature_matrix, epsilon=1e-8):
-    """Sum of per-row l1/l2 costs of a feature matrix (M features x K samples).
-
-    With a single row this is exactly :func:`csf_cost`.
-    """
-    fm = np.atleast_2d(np.asarray(feature_matrix, dtype=np.float64))
-    if fm.shape[0] < 1:
-        raise ValueError("feature matrix needs at least one row")
-    total = 0.0
-    for i, row in enumerate(fm):
-        if not np.any(row != 0.0):
-            raise DegenerateInputError(f"feature row {i} is all zero")
-        total += csf_cost(row, epsilon)
-    return total
-
-
 def _cost_and_gradient(y, w, epsilon):
     """Cost and its analytic gradient with respect to the filter taps.
 
@@ -158,9 +138,7 @@ def _cost_and_gradient(y, w, epsilon):
 
 def csf_gradient(signal, w, epsilon=1e-8):
     """Analytic gradient of ``csf_cost(convolve_valid(signal, w))`` in ``w``."""
-    w = np.asarray(w, dtype=np.float64)
-    f = convolve_valid(signal, w)  # validates filter length against N
-    del f
+    w = _validated_filter(signal, w)
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     _, grad = _cost_and_gradient(signal.samples, w, epsilon)

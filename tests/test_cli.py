@@ -90,6 +90,19 @@ class TestFilter:
                     "-o", str(tmp_path / "f.csv")])
         assert code == 0
 
+    def test_tab_separated_file_uses_column_0(self, tmp_path):
+        from sparsevib import write_ims_file
+
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((2048, 2))
+        write_ims_file(tmp_path / "two.txt", matrix)
+        write_ims_file(tmp_path / "one.txt", matrix[:, :1])
+        for name in ("two", "one"):
+            assert run(["filter", "--input", str(tmp_path / f"{name}.txt"),
+                        "--sample-rate", "20000", "--filter-length", "16",
+                        "-o", str(tmp_path / f"{name}_f.csv")]) == 0
+        assert (tmp_path / "two_f.csv").read_bytes() == (tmp_path / "one_f.csv").read_bytes()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(["filter", "--input", str(tmp_path / "nope.csv"),
                     "--sample-rate", "20000", "-o", str(tmp_path / "f.csv")])
@@ -183,6 +196,29 @@ class TestAssess:
         ])
         assert code == 1
 
+    def test_noiseless_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["assess", "--simulate-degradation", "--noiseless",
+                 "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                 "-o", str(tmp_path / "mqe.csv")])
+        assert excinfo.value.code == 2
+
+    def test_channel_out_of_range_is_validation_error(self, tmp_path, capsys):
+        from sparsevib import write_ims_file
+
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        for stamp in ("2004.02.12.10.32.39", "2004.02.12.10.42.39"):
+            write_ims_file(data / stamp, rng.standard_normal((1024, 2)))
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", "5",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "-o", str(tmp_path / "mqe.csv"),
+        ])
+        assert code == 1
+        assert "channel 5" in capsys.readouterr().err
+
     def test_input_dir_requires_channel(self, tmp_path):
         (tmp_path / "data").mkdir()
         code = run([
@@ -248,6 +284,19 @@ class TestClassify:
             "-o", str(tmp_path / "cls"),
         ])
         assert code == 1
+
+
+class TestReadmePipeline:
+    def test_simulate_filter_features_without_sample_rate(self, tmp_path):
+        sim = tmp_path / "outer.csv"
+        enhanced = tmp_path / "enhanced.csv"
+        assert run(["simulate", "--fault", "outer", "--snr-db", "-8", "--seed", "7",
+                    "--n-samples", "4096", "-o", str(sim)]) == 0
+        assert run(["filter", "--input", str(sim), "--filter-length", "32",
+                    "-o", str(enhanced)]) == 0
+        assert run(["features", "--input", str(enhanced),
+                    "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                    "-o", str(tmp_path / "features.json")]) == 0
 
 
 class TestGradcheck:

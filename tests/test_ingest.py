@@ -55,6 +55,26 @@ class TestReadImsFile:
         assert excinfo.value.line == 7
         assert "line 7" in str(excinfo.value)
 
+    def test_parse_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("sample\n1.0\n\n   \n\t\n2.0\nbad\n3.0\n")
+        with pytest.raises(SignalParseError) as excinfo:
+            read_ims_file(path, 20000.0, expected_rows=None)
+        assert excinfo.value.line == 7
+        assert "non-numeric content on line 7" in str(excinfo.value)
+
+    def test_header_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("sample\n1.5\t-2\n  \n\n3\t4\t\n")
+        snapshot = read_ims_file(path, 20000.0, expected_rows=None)
+        assert snapshot.channels.tolist() == [[1.5, -2.0], [3.0, 4.0]]
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("sample\n\n")
+        with pytest.raises(SignalParseError, match="no samples"):
+            read_ims_file(path, 20000.0, expected_rows=None)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "2004.02.12.10.32.39"
         path.write_text("1\t2\n3\n")
@@ -71,6 +91,20 @@ class TestReadImsFile:
         snapshot = read_ims_file(path, 20000.0, expected_rows=None)
         with pytest.raises(ValueError):
             snapshot.channel_signal(2)
+
+
+class TestWriteImsFile:
+    @pytest.mark.parametrize("header", [None, "sample"])
+    def test_bytes_match_per_value_format(self, tmp_path, header):
+        rng = np.random.default_rng(6)
+        matrix = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        matrix[0] = [5e-324, -0.0, -np.finfo(float).max]
+        path = tmp_path / "out.txt"
+        write_ims_file(path, matrix, header=header)
+        want = "".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
+        if header is not None:
+            want = header + "\n" + want
+        assert path.read_bytes() == want.encode()
 
 
 class TestIterateRunToFailure:
@@ -117,6 +151,12 @@ class TestIterateRunToFailure:
         sequence = iterate_run_to_failure(tmp_path, 3, 20000.0, expected_rows=None)
         assert len(sequence) == 1
         assert len(sequence.errors) == 1
+
+    def test_channel_missing_from_every_file(self, tmp_path):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)
+        make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=2, seed=5)
+        with pytest.raises(ValueError, match="channel 5"):
+            iterate_run_to_failure(tmp_path, 5, 20000.0, expected_rows=None)
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

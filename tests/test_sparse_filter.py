@@ -7,7 +7,6 @@ from sparsevib import (
     Signal,
     convolve_valid,
     csf_cost,
-    csf_cost_multi,
     csf_gradient,
     fit_med,
     fit_simplified_csf,
@@ -72,29 +71,6 @@ class TestCsfCost:
         base = csf_cost(f, 1e-8)
         scaled = csf_cost(k * f, 1e-8 * k * k)
         assert scaled == pytest.approx(base, rel=1e-9)
-
-
-class TestCsfCostMulti:
-    def test_single_row_equals_cost(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal(64)
-        assert csf_cost_multi(f[None, :], 1e-8) == csf_cost(f, 1e-8)
-
-    def test_two_identical_rows(self):
-        f = np.linspace(1, 2, 32)
-        stacked = np.vstack([f, f])
-        assert csf_cost_multi(stacked, 1e-8) == pytest.approx(2 * csf_cost(f, 1e-8), rel=1e-12)
-
-    def test_sum_over_rows_oracle(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.standard_normal((3, 64))
-        want = sum(csf_cost(row, 1e-8) for row in matrix)
-        assert csf_cost_multi(matrix, 1e-8) == pytest.approx(want, rel=1e-12)
-
-    def test_zero_row_degenerate(self):
-        matrix = np.vstack([np.ones(8), np.zeros(8)])
-        with pytest.raises(DegenerateInputError):
-            csf_cost_multi(matrix, 1e-8)
 
 
 class TestCsfGradient:
