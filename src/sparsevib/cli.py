@@ -68,12 +68,28 @@ def _write_sidecar(path, payload):
     return sidecar
 
 
+def _sidecar_sample_rate(path):
+    """``sample_rate_hz`` from the JSON sidecar of a signal file, or None without one."""
+    sidecar = Path(str(path) + ".json")
+    if not sidecar.exists():
+        return None
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{sidecar.name}: sidecar is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar.name}: sidecar is not a JSON object")
+    rate = meta.get("sample_rate_hz")
+    if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                             or not rate > 0):
+        raise ValueError(f"{sidecar.name}: sample_rate_hz {rate!r} is not a positive number")
+    return rate
+
+
 def _read_signal(path, sample_rate_hz):
     """Channel 0 of a signal file; the sample rate falls back to its sidecar."""
     if sample_rate_hz is None:
-        sidecar = Path(str(path) + ".json")
-        if sidecar.exists():
-            sample_rate_hz = json.loads(sidecar.read_text()).get("sample_rate_hz")
+        sample_rate_hz = _sidecar_sample_rate(path)
     if sample_rate_hz is None:
         raise ValueError(
             f"{Path(path).name}: sample rate unknown; pass --sample-rate or provide a sidecar"

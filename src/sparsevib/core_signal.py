@@ -112,11 +112,37 @@ class Acf:
 _DIRECT_CORRELATE_OPS = 4_000_000
 
 
+# OpenBLAS on x86_64 hands a ``ddot`` longer than 10000 elements to its
+# thread pool.  On the fit path that pool then competes for the cores with
+# the one scipy's L-BFGS-B uses, which makes a fit several times slower,
+# and its per-thread partial sums make the result depend on the thread
+# count.  Long dot products are therefore summed over pieces no longer
+# than this, each of which OpenBLAS runs on the calling thread.
+_SERIAL_DOT = 8192
+
+
+def _dot(a, b):
+    """``np.dot`` of two 1-D arrays, summed over pieces of ``_SERIAL_DOT`` elements."""
+    total = np.dot(a[:_SERIAL_DOT], b[:_SERIAL_DOT])
+    for i in range(_SERIAL_DOT, a.size, _SERIAL_DOT):
+        total += np.dot(a[i : i + _SERIAL_DOT], b[i : i + _SERIAL_DOT])
+    return total
+
+
 def _correlate_valid(y, v):
-    """``out[i] = sum_j y[i+j] v[j]`` with a size-adaptive method choice."""
-    if (y.size - v.size + 1) * v.size <= _DIRECT_CORRELATE_OPS:
-        return np.correlate(y, v, mode="valid")
-    return fftconvolve(y, v[::-1], mode="valid")
+    """``out[i] = sum_j y[i+j] v[j]`` with a size-adaptive method choice.
+
+    The direct route computes one ``len(v)``-long dot product per output,
+    so it sums correlations over pieces of ``v`` no longer than
+    ``_SERIAL_DOT``; a ``v`` that fits in one piece is one plain call.
+    """
+    if (y.size - v.size + 1) * v.size > _DIRECT_CORRELATE_OPS:
+        return fftconvolve(y, v[::-1], mode="valid")
+    k = y.size - v.size
+    out = np.correlate(y[: _SERIAL_DOT + k], v[:_SERIAL_DOT], mode="valid")
+    for i in range(_SERIAL_DOT, v.size, _SERIAL_DOT):
+        out += np.correlate(y[i : i + _SERIAL_DOT + k], v[i : i + _SERIAL_DOT], mode="valid")
+    return out
 
 
 def convolve_valid(signal, w):

@@ -8,6 +8,7 @@ reader and writer serve the CLI's one-column signal CSV, which adds a
 supplies it.
 """
 
+import io
 import os
 import warnings
 from dataclasses import dataclass
@@ -67,30 +68,38 @@ def _is_number(token):
     return True
 
 
-def _raise_at_bad_line(path, has_header):
+def _raise_at_bad_line(path):
     """Raise :class:`SignalParseError` at the first malformed line, if any.
 
     Runs only after the bulk parse failed: ``np.loadtxt`` numbers rows
     from 0 with blank lines left out, so its row is not the file line.
+    Bytes that are not UTF-8 are reported at the line that holds them.
     """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise SignalParseError(
+            f"{path.name}: line {line_no} is not UTF-8 text", line=line_no
+        ) from None
     width = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or (has_header and line_no == 1):
-                continue
-            tokens = stripped.split("\t")
-            if not all(map(_is_number, tokens)):
-                raise SignalParseError(
-                    f"{path.name}: non-numeric content on line {line_no}", line=line_no
-                )
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise SignalParseError(
-                    f"{path.name}: expected {width} columns on line {line_no}, got {len(tokens)}",
-                    line=line_no,
-                )
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or (line_no == 1 and not _is_number(stripped.split("\t")[0])):
+            continue
+        tokens = stripped.split("\t")
+        if not all(map(_is_number, tokens)):
+            raise SignalParseError(
+                f"{path.name}: non-numeric content on line {line_no}", line=line_no
+            )
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise SignalParseError(
+                f"{path.name}: expected {width} columns on line {line_no}, got {len(tokens)}",
+                line=line_no,
+            )
 
 
 def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
@@ -104,10 +113,10 @@ def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
     number.
     """
     path = Path(path)
-    with open(path) as fh:
-        has_header = not _is_number(fh.readline().strip().split("\t")[0])
-        fh.seek(0)
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            has_header = not _is_number(fh.readline().strip().split("\t")[0])
+            fh.seek(0)
             with warnings.catch_warnings():
                 # An empty file is reported below as a SignalParseError.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -115,9 +124,9 @@ def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
                     (line.strip() for line in fh), delimiter="\t", comments=None,
                     skiprows=int(has_header), ndmin=2,
                 )
-        except ValueError as exc:
-            _raise_at_bad_line(path, has_header)
-            raise SignalParseError(f"{path.name}: {exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError included
+        _raise_at_bad_line(path)
+        raise SignalParseError(f"{path.name}: {exc}") from None
     if channels.size == 0:
         raise SignalParseError(f"{path.name}: file contains no samples")
     if expected_rows and channels.shape[0] != expected_rows:

@@ -14,13 +14,16 @@ fixed-point iteration on the kurtosis objective, is included as the
 comparison baseline.
 """
 
+import contextlib
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .core_signal import _correlate_valid, _validated_filter
+from .core_signal import _correlate_valid, _dot, _validated_filter
 from .errors import DegenerateInputError, NumericalFailureError
 
 __all__ = [
@@ -38,6 +41,66 @@ INIT_SCHEMES = ("center_spike", "seeded_random")
 # l1/l2 valley is extremely flat near its floor, and polishing past a 1e-7
 # relative cost change buys nothing for the filtered output.
 _PLATEAU_FTOL = 1e-7
+
+
+def _solver_blas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS that L-BFGS-B calls, or None.
+
+    The symbols are looked up through scipy's L-BFGS-B extension, so this
+    finds whichever OpenBLAS that extension was linked against, and
+    nothing when it was linked against another BLAS.
+    """
+    try:
+        from scipy.optimize import _lbfgsb  # private: may move in a later scipy
+
+        lib = ctypes.CDLL(_lbfgsb.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):  # scipy's wheels, a system OpenBLAS
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# Once per iteration scipy's L-BFGS-B solves a triangular system with up
+# to ``maxcor`` right-hand sides (LAPACK ``dtrtrs``), and OpenBLAS splits
+# any such solve over its thread pool, however small.  The pool's worker
+# then spins on another core for the whole fit and every iteration
+# waits for it, so a fit slows by half or more whenever another process
+# wants that core.  The solver therefore runs with its OpenBLAS on one
+# thread; the previous count is restored when the last concurrent fit
+# returns, so MED's Cholesky keeps its threads.  Each right-hand side is
+# solved on its own, so the solver's result does not change.
+_SOLVER_THREADS = _solver_blas_threads()
+_solver_lock = threading.Lock()
+_solver_fits = 0  # fits inside the solver
+_solver_restore = None  # thread count before the first of them entered
+
+
+@contextlib.contextmanager
+def _serial_solver():
+    """Run the enclosed L-BFGS-B solve with the solver's OpenBLAS on one thread."""
+    global _solver_fits, _solver_restore
+    if _SOLVER_THREADS is None:
+        yield
+        return
+    get, set_ = _SOLVER_THREADS
+    with _solver_lock:
+        if _solver_fits == 0:
+            _solver_restore = get()
+            set_(1)
+        _solver_fits += 1
+    try:
+        yield
+    finally:
+        with _solver_lock:
+            _solver_fits -= 1
+            if _solver_fits == 0:
+                set_(_solver_restore)
 
 
 @dataclass(frozen=True)
@@ -109,7 +172,7 @@ def csf_cost(f, epsilon=1e-8):
     if not np.any(f != 0.0):
         raise DegenerateInputError("cost of the zero vector is undefined")
     c = _soft_abs(f, epsilon)
-    return float(c.sum() / np.sqrt(np.dot(c, c)))
+    return float(c.sum() / np.sqrt(_dot(c, c)))
 
 
 def _cost_and_gradient(y, w, epsilon):
@@ -128,7 +191,7 @@ def _cost_and_gradient(y, w, epsilon):
         raise DegenerateInputError("filtered output is identically zero")
     c = _soft_abs(f, epsilon)
     s1 = c.sum()
-    s2 = np.sqrt(np.dot(c, c))
+    s2 = np.sqrt(_dot(c, c))
     cost = s1 / s2
     # (1/S2 - S1 c/S2^3) * (f/c) simplifies: the second term's c cancels.
     per_sample = (f / c) / s2 - (s1 / s2**3) * f
@@ -211,20 +274,21 @@ def fit_simplified_csf(signal, config=None):
         else:
             history.append(_cost_and_gradient(y, wk, eps)[0])
 
-    result = minimize(
-        objective,
-        w0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": config.max_iterations,
-            "maxcor": 10,
-            "ftol": _PLATEAU_FTOL,
-            "gtol": gtol,
-            "maxls": 60,
-        },
-    )
+    with _serial_solver():
+        result = minimize(
+            objective,
+            w0,
+            jac=True,
+            method="L-BFGS-B",
+            callback=record,
+            options={
+                "maxiter": config.max_iterations,
+                "maxcor": 10,
+                "ftol": _PLATEAU_FTOL,
+                "gtol": gtol,
+                "maxls": 60,
+            },
+        )
 
     _, grad_final = _cost_and_gradient(y, result.x, eps)
     converged = bool(result.status == 0 or np.max(np.abs(grad_final)) <= gtol)
@@ -268,7 +332,7 @@ def _autocorrelation_matrix(y, l):
 
 def _kurtosis_raw(f):
     fc = f - f.mean()
-    m2 = np.dot(fc, fc)
+    m2 = _dot(fc, fc)
     if m2 == 0.0:
         return 0.0
     return float(f.size * np.sum(fc**4) / m2**2)

@@ -115,6 +115,15 @@ class TestFilter:
                     "-o", str(tmp_path / "f.csv")])
         assert code == 2
 
+    def test_binary_input_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(np.random.default_rng(0).bytes(300))
+        code = run(["filter", "--input", str(bad), "--sample-rate", "20000",
+                    "-o", str(tmp_path / "f.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.bin" in err and "not UTF-8" in err
+
 
 class TestFeatures:
     def test_explicit_frequencies_json(self, sim_csv, tmp_path):
@@ -141,6 +150,15 @@ class TestFeatures:
                     "--geometry", "8,1,4,0", "--shaft-hz", "10",
                     "-o", str(tmp_path / "f.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("sidecar", ['[]', '{"sample_rate_hz": "abc"}'])
+    def test_bad_sidecar_is_validation_error(self, sim_csv, tmp_path, capsys, sidecar):
+        (tmp_path / "signal.csv.json").write_text(sidecar)
+        code = run(["features", "--input", str(sim_csv),
+                    "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                    "-o", str(tmp_path / "f.json")])
+        assert code == 1
+        assert "signal.csv.json" in capsys.readouterr().err
 
     def test_csv_format(self, sim_csv, tmp_path):
         out = tmp_path / "features.csv"
@@ -218,6 +236,28 @@ class TestAssess:
         ])
         assert code == 1
         assert "channel 5" in capsys.readouterr().err
+
+    def test_binary_snapshot_reported_and_skipped(self, tmp_path):
+        from sparsevib import write_ims_file
+
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(1)
+        for minute in range(5):
+            write_ims_file(data / f"2004.02.12.10.{minute:02d}.39", rng.standard_normal((1024, 2)))
+        (data / "2004.02.12.10.02.40").write_bytes(rng.bytes(300))
+        out = tmp_path / "mqe.csv"
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "3",
+            "--som-epochs", "20", "--filter-length", "32",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 6
+        report = json.loads((tmp_path / "mqe.csv.json").read_text())
+        [(path, message)] = report["source"]["parse_errors"]
+        assert path.endswith("2004.02.12.10.02.40")
+        assert "line" in message and "not UTF-8" in message
 
     def test_input_dir_requires_channel(self, tmp_path):
         (tmp_path / "data").mkdir()

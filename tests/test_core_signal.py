@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sparsevib import (
     envelope_spectrum,
     hilbert_envelope,
 )
+from sparsevib.core_signal import _SERIAL_DOT, _correlate_valid, _dot
 
 
 def make_signal(samples, fs=1000.0):
@@ -88,6 +91,42 @@ class TestConvolveValid:
     def test_nonfinite_filter(self):
         with pytest.raises(ValueError):
             convolve_valid(make_signal(np.arange(10.0)), [1.0, np.inf])
+
+
+class TestSerialPieces:
+    """Long dot products are summed in pieces that OpenBLAS does not thread."""
+
+    LONG_SIZES = [8191, 8192, 8193, 20381, 3 * 8192 + 5]
+
+    @staticmethod
+    def rounding_bound(products):
+        # Any summation order is within n * eps * sum|a_i b_i| of the exact sum.
+        return products.size * np.finfo(float).eps * math.fsum(np.abs(products))
+
+    @pytest.mark.parametrize("size", LONG_SIZES)
+    def test_dot_matches_exact_sum(self, size):
+        rng = np.random.default_rng(size)
+        a, b = rng.standard_normal(size), rng.standard_normal(size)
+        assert abs(_dot(a, b) - math.fsum(a * b)) <= self.rounding_bound(a * b)
+
+    @pytest.mark.parametrize("size", LONG_SIZES)
+    def test_correlate_matches_exact_sums(self, size):
+        rng = np.random.default_rng(size)
+        k = 7
+        y, v = rng.standard_normal(size + k), rng.standard_normal(size)
+        got = _correlate_valid(y, v)
+        assert got.shape == (k + 1,)
+        for i in range(k + 1):
+            products = y[i : i + size] * v
+            assert abs(got[i] - math.fsum(products)) <= self.rounding_bound(products)
+
+    @pytest.mark.parametrize("size", [2, 100, 8093, _SERIAL_DOT])
+    def test_one_piece_is_the_plain_call(self, size):
+        rng = np.random.default_rng(size)
+        a, b = rng.standard_normal(size), rng.standard_normal(size)
+        assert _dot(a, b) == np.dot(a, b)
+        y = rng.standard_normal(size + 99)
+        assert np.array_equal(_correlate_valid(y, a), np.correlate(y, a, mode="valid"))
 
 
 class TestHilbertEnvelope:

@@ -63,6 +63,15 @@ class TestReadImsFile:
         assert excinfo.value.line == 7
         assert "non-numeric content on line 7" in str(excinfo.value)
 
+    def test_non_utf8_bytes_cite_line(self, tmp_path):
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_bytes(b"0.1\t0.2\n0.3\t0.4\n\xff\xfe\t0.5\n")
+        with pytest.raises(SignalParseError) as excinfo:
+            read_ims_file(path, 20000.0, expected_rows=None)
+        assert excinfo.value.line == 3
+        assert "2004.02.12.10.32.39" in str(excinfo.value)
+        assert "line 3" in str(excinfo.value)
+
     def test_header_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_text("sample\n1.5\t-2\n  \n\n3\t4\t\n")
@@ -144,6 +153,16 @@ class TestIterateRunToFailure:
         sequence = iterate_run_to_failure(tmp_path, 0, 20000.0, expected_rows=None)
         assert len(sequence) == 1
         assert len(sequence.errors) == 2
+
+    def test_binary_file_reported_not_fatal(self, tmp_path):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", seed=3)
+        binary = tmp_path / "2004.02.12.10.42.39"
+        binary.write_bytes(np.random.default_rng(0).bytes(300))
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0, expected_rows=None)
+        assert len(sequence) == 1
+        [(path, message)] = sequence.errors
+        assert path == str(binary)
+        assert "not UTF-8" in message
 
     def test_channel_out_of_range_reported(self, tmp_path):
         make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import sparsevib
+from sparsevib import sparse_filter
 from sparsevib import (
     CsfConfig,
     DegenerateInputError,
@@ -202,3 +210,64 @@ class TestFitMed:
         result = fit_med(sig, CsfConfig(filter_length=24))
         assert result.cost_history[0] < 0
         assert len(result.cost_history) == result.iterations + 1
+
+
+# One IMS-length snapshot, fitted and described in a fresh interpreter, so
+# that OPENBLAS_NUM_THREADS takes effect before numpy loads OpenBLAS.
+FIT_AND_FEATURES = """
+import sys
+import numpy as np
+from sparsevib import (CsfConfig, FaultFrequencies, FaultSimConfig, Signal,
+                       extract_feature_vector, fit_simplified_csf, simulate_bearing_fault)
+signal = simulate_bearing_fault(FaultSimConfig(fault_components=("outer",), seed=0))
+fit = fit_simplified_csf(signal, CsfConfig(filter_length=100))
+faults = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
+enhanced = Signal(fit.filtered, signal.sample_rate_hz)
+np.savez(sys.argv[1], w=fit.w, filtered=fit.filtered, cost_history=fit.cost_history,
+         iterations=fit.iterations,
+         raw_features=extract_feature_vector(signal, faults).as_array(),
+         filtered_features=extract_feature_vector(enhanced, faults).as_array())
+"""
+
+
+def test_fit_and_features_independent_of_blas_threads(tmp_path):
+    src = str(Path(sparsevib.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run([sys.executable, "-c", FIT_AND_FEATURES, str(out)],
+                       env=env, check=True, timeout=300)
+        runs.append(np.load(out))
+    one, two = runs
+    assert one["w"].size == 100 and one["filtered"].size == 20480 - 100 + 1
+    for key in one.files:
+        assert np.array_equal(one[key], two[key]), key
+
+
+@pytest.mark.skipif(sparse_filter._SOLVER_THREADS is None,
+                    reason="scipy's L-BFGS-B is not linked against OpenBLAS")
+def test_lbfgsb_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    get, set_ = sparse_filter._SOLVER_THREADS
+    original = get()
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_filter, "minimize", spy)
+    set_(2)
+    try:
+        fit_simplified_csf(impulse_train_signal(), CsfConfig(filter_length=16))
+        assert seen == [1] and get() == 2
+        with pytest.raises(RuntimeError):
+            with sparse_filter._serial_solver():
+                with sparse_filter._serial_solver():
+                    assert get() == 1
+                assert get() == 1  # the count comes back only when the last solve ends
+                raise RuntimeError
+        assert get() == 2
+    finally:
+        set_(original)
