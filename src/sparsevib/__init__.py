@@ -7,7 +7,6 @@ SOM-MQE health assessment or PCA / k-means / VAT classification.
 """
 
 from .core_signal import (
-    Acf,
     Signal,
     Spectrum,
     autocorrelation,
@@ -65,7 +64,6 @@ from .simulate import (
     make_degradation_sequence,
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
-    simulate_bearing_fault_parts,
 )
 from .sparse_filter import (
     CsfConfig,

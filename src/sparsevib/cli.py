@@ -7,12 +7,13 @@ metadata.  Exit codes: 0 success, 1 validation or tolerance failure,
 """
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +28,8 @@ from .features import (
     fault_frequencies,
 )
 from .health_models import SomConfig
-from .ingest import iterate_run_to_failure, read_ims_file, write_ims_file
-from .pipeline import (
-    DEFAULT_ASSESS_SOM,
-    assess_sequence,
-    classify_dataset,
-    filter_signal,
-    gradient_check,
-)
+from .ingest import _read_utf8, iterate_run_to_failure, read_ims_file, write_ims_file
+from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
 from .simulate import (
     FaultSimConfig,
     LabeledDataset,
@@ -181,7 +176,7 @@ def _add_fault_freq_flags(parser):
 def cmd_simulate(args):
     config = _sim_config_from_args(args)
     if args.noiseless:
-        config = config.with_overrides(snr_db=math.inf)
+        config = replace(config, snr_db=math.inf)
     signal = simulate_bearing_fault(config)
     out = _out_path(args.output)
     write_ims_file(out, signal.samples[:, None], header="sample")
@@ -253,20 +248,11 @@ def cmd_features(args):
 
 
 def _som_config_from_args(args):
-    if args.som_grid:
-        try:
-            rows, cols = (int(t) for t in args.som_grid.lower().split("x"))
-        except ValueError:
-            raise ValueError("--som-grid expects ROWSxCOLS, e.g. 4x4")
-        return SomConfig(
-            grid_rows=rows, grid_cols=cols, epochs=args.som_epochs, seed=args.seed
-        )
-    return SomConfig(
-        grid_rows=DEFAULT_ASSESS_SOM.grid_rows,
-        grid_cols=DEFAULT_ASSESS_SOM.grid_cols,
-        epochs=args.som_epochs,
-        seed=args.seed,
-    )
+    try:
+        rows, cols = (int(t) for t in args.som_grid.lower().split("x"))
+    except ValueError:
+        raise ValueError("--som-grid expects ROWSxCOLS, e.g. 4x4") from None
+    return SomConfig(grid_rows=rows, grid_cols=cols, epochs=args.som_epochs, seed=args.seed)
 
 
 def cmd_assess(args):
@@ -285,9 +271,6 @@ def cmd_assess(args):
         signals = make_degradation_sequence(args.n_files, args.onset, base)
         source = {"simulated_degradation": {"n_files": args.n_files, "onset": args.onset,
                                             "config": asdict(base, dict_factory=_json_dict)}}
-    if len(signals) < args.n_train + 1:
-        raise ValueError(f"need at least {args.n_train + 1} snapshots, got {len(signals)}")
-
     csf_config = _csf_config_from_args(args)
     som_config = _som_config_from_args(args)
     report = assess_sequence(signals, faults, csf_config, som_config,
@@ -307,8 +290,7 @@ def cmd_assess(args):
         "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
                                  "bsf": faults.bsf_hz},
         "csf_config": asdict(csf_config),
-        "som": {"grid_rows": som_config.grid_rows, "grid_cols": som_config.grid_cols,
-                "epochs": som_config.epochs, "seed": som_config.seed},
+        "som": asdict(som_config),
         "raw": {"threshold": report.raw.threshold, "alarm_index": report.raw.alarm_index},
         "filtered": {"threshold": report.filtered.threshold,
                      "alarm_index": report.filtered.alarm_index},
@@ -324,22 +306,20 @@ def cmd_assess(args):
 
 
 def _read_manifest(path, sample_rate):
+    path = Path(path)
     signals, labels = [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or (line_no == 1 and stripped.lower().startswith("path")):
-                continue
-            try:
-                file_path, label = (t.strip() for t in stripped.split(",", 1))
-            except ValueError:
-                raise SignalParseError(f"manifest line {line_no}: expected 'path,label'",
-                                       line=line_no) from None
-            base = Path(path).parent
-            snapshot = read_ims_file(base / file_path if not Path(file_path).is_absolute()
-                                     else file_path, sample_rate, expected_rows=None)
-            signals.append(snapshot.channel_signal(0))
-            labels.append(label)
+    for line_no, line in enumerate(io.StringIO(_read_utf8(path), newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or (line_no == 1 and stripped.lower().startswith("path")):
+            continue
+        try:
+            file_path, label = (t.strip() for t in stripped.split(",", 1))
+        except ValueError:
+            raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
+                                   line=line_no) from None
+        snapshot = read_ims_file(path.parent / file_path, sample_rate, expected_rows=None)
+        signals.append(snapshot.channel_signal(0))
+        labels.append(label)
     if not signals:
         raise SignalParseError(f"{path}: empty manifest")
     return LabeledDataset(signals=signals, labels=labels)
@@ -449,7 +429,7 @@ def build_parser():
     p.add_argument("--n-files", type=int, default=100)
     p.add_argument("--onset", type=int, default=40)
     p.add_argument("--n-train", type=int, default=20)
-    p.add_argument("--som-grid", default=None, help="ROWSxCOLS (default 3x3)")
+    p.add_argument("--som-grid", default="3x3", help="ROWSxCOLS (default 3x3)")
     p.add_argument("--som-epochs", type=int, default=200)
     _add_fault_freq_flags(p)
     _add_sim_flags(p)

@@ -6,7 +6,7 @@ analytic-signal envelope, the normalized autocorrelation of a vector, and
 the one-sided envelope spectrum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve, hilbert
@@ -16,7 +16,6 @@ from .errors import DegenerateInputError
 __all__ = [
     "Signal",
     "Spectrum",
-    "Acf",
     "convolve_valid",
     "hilbert_envelope",
     "autocorrelation",
@@ -55,10 +54,6 @@ class Signal:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_s(self):
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass
 class Spectrum:
@@ -84,26 +79,6 @@ class Spectrum:
         mags = self.magnitudes
         start = 1 if exclude_dc else 0
         return float(self.frequencies_hz[start + int(np.argmax(mags[start:]))])
-
-
-@dataclass
-class Acf:
-    """Normalized autocorrelation: ``values[k]`` is the correlation at lag ``k``."""
-
-    lags: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.lags = np.asarray(self.lags, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.lags.shape != self.values.shape:
-            raise ValueError("lags and values must have equal length")
-        if self.values[0] != 1.0:
-            raise ValueError("autocorrelation must be normalized to values[0] == 1")
-
-    @property
-    def max_lag(self):
-        return int(self.lags[-1])
 
 
 # Above this many multiply-adds the FFT route wins; below it the direct
@@ -216,7 +191,8 @@ def autocorrelation(x, max_lag):
 
     Returns
     -------
-    Acf
+    np.ndarray
+        ``max_lag + 1`` values; lag ``k`` is at index ``k``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -232,7 +208,7 @@ def autocorrelation(x, max_lag):
     r = fftconvolve(xc, xc[::-1], mode="full")[n - 1 : n + max_lag]
     values = r / r[0]
     values[0] = 1.0
-    return Acf(np.arange(max_lag + 1), values)
+    return values
 
 
 def envelope_spectrum(signal):

@@ -9,7 +9,7 @@ defect frequencies.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "blehnr",
     "extract_feature_vector",
 ]
-
-FEATURE_NAMES = ("kurtosis", "l1_l2", "blehnr_bpfo", "blehnr_bpfi", "blehnr_bsf")
 
 DEFAULT_BAND_FRACTION = 0.02
 
@@ -76,9 +74,10 @@ class FeatureVector:
     blehnr_bsf: float
 
     def as_array(self):
-        return np.array(
-            [self.kurtosis, self.l1_l2, self.blehnr_bpfo, self.blehnr_bpfi, self.blehnr_bsf]
-        )
+        return np.array(astuple(self))
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def lp_lq_norm(f, p, q):
@@ -146,25 +145,23 @@ def _band_lags(n_samples, sample_rate_hz, fault_hz, band_fraction):
     return lo, hi
 
 
-def _blehnr_from_acf(acf_values, lo, hi, ratio_form):
-    peak = float(np.max(acf_values[lo : hi + 1]))
-    if ratio_form:
-        return peak / (1.0 - peak) if peak < 1.0 else math.inf
-    return peak
+def _band_peaks(signal, fault_hzs, band_fraction):
+    """Envelope autocorrelation peak in each fault's lag band, from one autocorrelation."""
+    bands = [
+        _band_lags(len(signal), signal.sample_rate_hz, hz, band_fraction) for hz in fault_hzs
+    ]
+    env = hilbert_envelope(signal)
+    acf = autocorrelation(env.samples, max(hi for _, hi in bands))
+    return [float(np.max(acf[lo : hi + 1])) for lo, hi in bands]
 
 
-def blehnr(signal, fault_hz, band_fraction=DEFAULT_BAND_FRACTION, ratio_form=False):
+def blehnr(signal, fault_hz, band_fraction=DEFAULT_BAND_FRACTION):
     """Band-limited envelope harmonic-to-noise ratio at a fault frequency.
 
     Highest value of the envelope's normalized autocorrelation over integer
-    lags within ``(1 ± band_fraction) / fault_hz``.  With ``ratio_form``
-    the peak ``r`` is mapped to the harmonic-to-noise quotient
-    ``r / (1 - r)``; the default reports the raw peak, bounded in [-1, 1].
+    lags within ``(1 ± band_fraction) / fault_hz``, bounded in [-1, 1].
     """
-    lo, hi = _band_lags(len(signal), signal.sample_rate_hz, fault_hz, band_fraction)
-    env = hilbert_envelope(signal)
-    acf = autocorrelation(env.samples, hi)
-    return _blehnr_from_acf(acf.values, lo, hi, ratio_form)
+    return _band_peaks(signal, (fault_hz,), band_fraction)[0]
 
 
 def extract_feature_vector(signal, faults, band_fraction=DEFAULT_BAND_FRACTION):
@@ -174,17 +171,5 @@ def extract_feature_vector(signal, faults, band_fraction=DEFAULT_BAND_FRACTION):
     BLEHNR features share a single envelope autocorrelation evaluated out
     to the largest requested lag.
     """
-    targets = (faults.bpfo_hz, faults.bpfi_hz, faults.bsf_hz)
-    bands = [
-        _band_lags(len(signal), signal.sample_rate_hz, hz, band_fraction) for hz in targets
-    ]
-    env = hilbert_envelope(signal)
-    acf = autocorrelation(env.samples, max(hi for _, hi in bands))
-    values = [_blehnr_from_acf(acf.values, lo, hi, ratio_form=False) for lo, hi in bands]
-    return FeatureVector(
-        kurtosis=kurtosis(signal.samples),
-        l1_l2=lp_lq_norm(signal.samples, 1, 2),
-        blehnr_bpfo=values[0],
-        blehnr_bpfi=values[1],
-        blehnr_bsf=values[2],
-    )
+    peaks = _band_peaks(signal, (faults.bpfo_hz, faults.bpfi_hz, faults.bsf_hz), band_fraction)
+    return FeatureVector(kurtosis(signal.samples), lp_lq_norm(signal.samples, 1, 2), *peaks)

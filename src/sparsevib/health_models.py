@@ -9,7 +9,7 @@ diagonal blocks.
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class SomModel:
     """Trained map: codebook in z-space plus the normalization that built it.
 
     Zero-variance feature columns are excluded from the distance space;
-    their indices are kept in ``dropped_columns`` and their training means
-    still appear in the denormalized codebook.
+    their indices are kept in ``dropped_columns``, while ``mean`` and
+    ``std`` cover every column.
     """
 
     config: SomConfig
@@ -84,59 +84,17 @@ class SomModel:
     dropped_columns: tuple = ()
     feature_names: tuple = ()
 
-    @property
-    def grid_rows(self):
-        return self.config.grid_rows
-
-    @property
-    def grid_cols(self):
-        return self.config.grid_cols
-
-    def codebook_raw(self):
-        """Codebook mapped back to the original feature space (all columns)."""
-        units = self.codebook.shape[0]
-        raw = np.tile(self.mean, (units, 1))
-        if self.kept_columns.size:
-            raw[:, self.kept_columns] = (
-                self.codebook * self.std[self.kept_columns] + self.mean[self.kept_columns]
-            )
-        return raw
-
-    def to_dict(self):
-        return {
-            "grid_rows": self.config.grid_rows,
-            "grid_cols": self.config.grid_cols,
-            "codebook": self.codebook.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "kept_columns": self.kept_columns.tolist(),
-            "dropped_columns": list(self.dropped_columns),
-            "feature_names": list(self.feature_names),
-            "training": {
-                "epochs": self.config.epochs,
-                "learning_rate_initial": self.config.learning_rate_initial,
-                "learning_rate_final": self.config.learning_rate_final,
-                "radius_initial": self.config.radius_initial,
-                "radius_final": self.config.radius_final,
-                "seed": self.config.seed,
-            },
-        }
+    def save(self, path):
+        """Write the model as JSON: ``config`` is ``asdict(self.config)``, arrays are lists."""
+        with open(path, "w") as fh:
+            json.dump(asdict(self), fh, indent=2, default=lambda a: a.tolist())
 
     @classmethod
-    def from_dict(cls, payload):
-        training = payload["training"]
-        config = SomConfig(
-            grid_rows=payload["grid_rows"],
-            grid_cols=payload["grid_cols"],
-            epochs=training["epochs"],
-            learning_rate_initial=training["learning_rate_initial"],
-            learning_rate_final=training["learning_rate_final"],
-            radius_initial=training["radius_initial"],
-            radius_final=training["radius_final"],
-            seed=training["seed"],
-        )
+    def load(cls, path):
+        with open(path) as fh:
+            payload = json.load(fh)
         return cls(
-            config=config,
+            config=SomConfig(**payload["config"]),
             codebook=np.asarray(payload["codebook"], dtype=np.float64),
             mean=np.asarray(payload["mean"], dtype=np.float64),
             std=np.asarray(payload["std"], dtype=np.float64),
@@ -144,15 +102,6 @@ class SomModel:
             dropped_columns=tuple(payload["dropped_columns"]),
             feature_names=tuple(payload["feature_names"]),
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _as_matrix(features):
@@ -326,6 +275,8 @@ def kmeans(scores, k, n_restarts=10, seed=0):
     points = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     if k < 1 or k > points.shape[0]:
         raise ValueError("k must lie in [1, number of rows]")
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     best = None
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))

@@ -68,21 +68,25 @@ def _is_number(token):
     return True
 
 
-def _raise_at_bad_line(path):
-    """Raise :class:`SignalParseError` at the first malformed line, if any.
-
-    Runs only after the bulk parse failed: ``np.loadtxt`` numbers rows
-    from 0 with blank lines left out, so its row is not the file line.
-    Bytes that are not UTF-8 are reported at the line that holds them.
-    """
+def _read_utf8(path):
+    """Text of a file; bytes that are not UTF-8 raise :class:`SignalParseError` at their line."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise SignalParseError(
             f"{path.name}: line {line_no} is not UTF-8 text", line=line_no
         ) from None
+
+
+def _raise_at_bad_line(path):
+    """Raise :class:`SignalParseError` at the first malformed line, if any.
+
+    Runs only after the bulk parse failed: ``np.loadtxt`` numbers rows
+    from 0 with blank lines left out, so its row is not the file line.
+    """
+    text = _read_utf8(path)
     width = None
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.strip()

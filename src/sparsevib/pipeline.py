@@ -200,6 +200,8 @@ def gradient_check(n_trials=20, n_samples=256, filter_length=32, step=1e-6, seed
     ``max|g_analytic - g_fd| / max|g_fd|`` for seeded Gaussian signals and
     unit-norm random filters.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     errors = []
     for trial in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))

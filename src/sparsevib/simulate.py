@@ -21,7 +21,6 @@ __all__ = [
     "LabeledDataset",
     "TAXONOMY",
     "simulate_bearing_fault",
-    "simulate_bearing_fault_parts",
     "gaussian_with_outlier",
     "make_fault_taxonomy_dataset",
     "make_degradation_sequence",
@@ -92,9 +91,6 @@ class FaultSimConfig:
             "roller": self.roller_fault_hz,
         }[component]
 
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
-
 
 @dataclass
 class LabeledDataset:
@@ -102,9 +98,6 @@ class LabeledDataset:
 
     signals: list
     labels: list
-
-    def __len__(self):
-        return len(self.signals)
 
 
 def _resonance_kernel(config):
@@ -173,8 +166,13 @@ def _scaled_noise(rng, n, target_power):
     return draw * (math.sqrt(target_power) / rms)
 
 
-def simulate_bearing_fault_parts(config):
-    """Like :func:`simulate_bearing_fault` but also returns the clean and noise parts."""
+def simulate_bearing_fault(config):
+    """Generate one synthetic snapshot; deterministic for a given config + seed.
+
+    The realized clean/noise power ratio matches ``snr_db`` exactly (the
+    noise draw is rescaled to its target power).  With no fault components
+    the output is pure unit-power Gaussian noise.
+    """
     rng = np.random.default_rng(config.seed)
     clean = _clean_signal(rng, config)
     clean_power = float(np.mean(clean * clean))
@@ -185,19 +183,7 @@ def simulate_bearing_fault_parts(config):
         noise = np.zeros(n)
     else:
         noise = _scaled_noise(rng, n, clean_power / 10.0 ** (config.snr_db / 10.0))
-    signal = Signal(clean + noise, config.sample_rate_hz)
-    return signal, clean, noise
-
-
-def simulate_bearing_fault(config):
-    """Generate one synthetic snapshot; deterministic for a given config + seed.
-
-    The realized clean/noise power ratio matches ``snr_db`` exactly (the
-    noise draw is rescaled to its target power).  With no fault components
-    the output is pure unit-power Gaussian noise.
-    """
-    signal, _, _ = simulate_bearing_fault_parts(config)
-    return signal
+    return Signal(clean + noise, config.sample_rate_hz)
 
 
 def gaussian_with_outlier(n, outlier_sigma, seed, sample_rate_hz=20000.0):
@@ -227,9 +213,8 @@ def make_fault_taxonomy_dataset(n_per_class, base_config, seed=0):
     signals, labels = [], []
     for class_idx, (label, components) in enumerate(TAXONOMY.items()):
         for i in range(n_per_class):
-            config = base_config.with_overrides(
-                fault_components=components,
-                seed=_derived_seed(seed, class_idx, i),
+            config = replace(
+                base_config, fault_components=components, seed=_derived_seed(seed, class_idx, i)
             )
             signals.append(simulate_bearing_fault(config))
             labels.append(label)
@@ -248,9 +233,7 @@ def make_degradation_sequence(n_files, onset_index, base_config):
     if not (0 < onset_index < n_files):
         raise ValueError("require 0 < onset_index < n_files")
 
-    reference = base_config.with_overrides(
-        fault_components=("outer",), period_jitter_fraction=0.0
-    )
+    reference = replace(base_config, fault_components=("outer",), period_jitter_fraction=0.0)
     rng_ref = np.random.default_rng(reference.seed)
     full_scale = _clean_signal(rng_ref, reference)
     full_power = float(np.mean(full_scale * full_scale))
@@ -261,8 +244,8 @@ def make_degradation_sequence(n_files, onset_index, base_config):
 
     signals = []
     for k in range(1, n_files + 1):
-        cfg = base_config.with_overrides(
-            fault_components=("outer",), seed=_derived_seed(base_config.seed, k)
+        cfg = replace(
+            base_config, fault_components=("outer",), seed=_derived_seed(base_config.seed, k)
         )
         rng = np.random.default_rng(cfg.seed)
         amplitude = 0.0

@@ -152,7 +152,6 @@ class CsfResult:
     cost_history: np.ndarray
     converged: bool
     iterations: int = 0
-    method: str = "csf"
 
 
 def _soft_abs(f, epsilon):
@@ -301,7 +300,6 @@ def fit_simplified_csf(signal, config=None):
         cost_history=np.asarray(history),
         converged=converged,
         iterations=int(result.nit),
-        method="csf",
     )
 
 
@@ -391,5 +389,4 @@ def fit_med(signal, config=None):
         cost_history=np.asarray(history),
         converged=converged,
         iterations=iterations,
-        method="med",
     )

@@ -203,7 +203,22 @@ class TestAssess:
         model = SomModel.load(tmp_path / "som_filtered.json")
         payload = json.loads((tmp_path / "som_filtered.json").read_text())
         jsonschema.validate(payload, load_schema("som_model.schema.json"))
-        assert model.codebook.shape[0] == model.grid_rows * model.grid_cols
+        assert model.codebook.shape[0] == model.config.grid_rows * model.config.grid_cols
+        report = json.loads((tmp_path / "mqe.csv.json").read_text())
+        assert payload["config"] == report["som"]
+        assert report["som"]["radius_initial"] == 1.5
+
+    def test_som_grid_sets_its_own_radius(self, tmp_path):
+        out = tmp_path / "mqe.csv"
+        code = run([
+            "assess", "--simulate-degradation", "--n-files", "6", "--onset", "4",
+            "--n-train", "4", "--n-samples", "2048", "--som-grid", "2x4", "--som-epochs", "5",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "--filter-length", "16", "-o", str(out),
+        ])
+        assert code == 0
+        som = json.loads((tmp_path / "mqe.csv.json").read_text())["som"]
+        assert (som["grid_rows"], som["grid_cols"], som["radius_initial"]) == (2, 4, 2.0)
 
     def test_too_few_snapshots(self, tmp_path):
         code = run([
@@ -311,6 +326,37 @@ class TestClassify:
         report = json.loads((outdir / "report.json").read_text())
         assert sorted(set(report["labels"])) == ["normal", "outer"]
 
+    def test_zero_restarts_rejected(self, tmp_path, capsys):
+        code = run([
+            "classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "--filter-length", "16", "--restarts", "0", "-o", str(tmp_path / "cls"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "n_restarts" in err
+
+    def test_malformed_manifest_line_names_file_and_line(self, tmp_path, capsys):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text("path,label\nno-label-here\n")
+        code = run([
+            "classify", "--manifest", str(manifest), "--sample-rate", "20000",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "cls"),
+        ])
+        assert code == 2
+        assert "runs.csv: line 2" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_names_file_and_line(self, tmp_path, capsys):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_bytes(b"path,label\nsig\xff.txt,outer\n")
+        code = run([
+            "classify", "--manifest", str(manifest), "--sample-rate", "20000",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "cls"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runs.csv: line 2" in err and "UTF-8" in err
+
     def test_single_class_rejected(self, tmp_path):
         from sparsevib import FaultSimConfig, simulate_bearing_fault, write_ims_file
 
@@ -346,6 +392,12 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "OK" in out
+
+    def test_zero_trials_rejected(self, capsys):
+        code = run(["gradcheck", "--trials", "0"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "n_trials" in err
 
     def test_tight_tolerance_fails(self):
         code = run(["gradcheck", "--trials", "3", "--n", "128",

@@ -42,7 +42,8 @@ class TestSignal:
             Signal(np.array([1.0, 2.0]), 0.0)
 
     def test_duration(self):
-        assert make_signal(np.zeros(500), fs=1000.0).duration_s == 0.5
+        signal = make_signal(np.zeros(500), fs=1000.0)
+        assert len(signal) / signal.sample_rate_hz == 0.5
 
 
 class TestConvolveValid:
@@ -175,24 +176,25 @@ class TestAutocorrelation:
         x = np.zeros(period * 10)
         x[::period] = 1.0
         acf = autocorrelation(x, 3 * period)
-        assert acf.values[period] > 0.8
-        assert np.argmax(acf.values[2:]) + 2 == period
+        assert acf[period] > 0.8
+        assert np.argmax(acf[2:]) + 2 == period
 
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(11)
         acf = autocorrelation(rng.standard_normal(256), 32)
-        assert acf.values[0] == 1.0
+        assert acf.shape == (33,)
+        assert acf[0] == 1.0
 
     def test_white_noise_low_correlation(self):
         rng = np.random.default_rng(123)
         acf = autocorrelation(rng.standard_normal(4096), 100)
-        assert np.max(np.abs(acf.values[1:])) < 0.1
+        assert np.max(np.abs(acf[1:])) < 0.1
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.standard_normal(2048))  # strongly correlated
         acf = autocorrelation(x, 500)
-        assert np.all(np.abs(acf.values) <= 1.0 + 1e-9)
+        assert np.all(np.abs(acf) <= 1.0 + 1e-9)
 
     def test_constant_input_degenerate(self):
         with pytest.raises(DegenerateInputError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sparsevib import (
     DegenerateInputError,
     FaultFrequencies,
     FaultSimConfig,
+    FeatureVector,
     Signal,
     blehnr,
     csf_cost,
@@ -15,6 +18,7 @@ from sparsevib import (
     lp_lq_norm,
     simulate_bearing_fault,
 )
+from sparsevib.features import FEATURE_NAMES
 
 OUTER_100 = FaultSimConfig(
     fault_components=("outer",), snr_db=float("inf"), n_samples=20480, seed=0
@@ -142,18 +146,12 @@ class TestBlehnr:
         with pytest.raises(ValueError):
             blehnr(sig, 100.0, 0.5)
 
-    def test_ratio_form_monotone(self):
-        sig = simulate_bearing_fault(OUTER_100)
-        raw = blehnr(sig, 100.0)
-        ratio = blehnr(sig, 100.0, ratio_form=True)
-        assert ratio == pytest.approx(raw / (1.0 - raw), rel=1e-12)
-
 
 class TestExtractFeatureVector:
     FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 
     def test_outer_fault_dominates_bpfo(self):
-        sig = simulate_bearing_fault(OUTER_100.with_overrides(snr_db=-8.0))
+        sig = simulate_bearing_fault(replace(OUTER_100, snr_db=-8.0))
         vec = extract_feature_vector(sig, self.FAULTS)
         assert vec.blehnr_bpfo > vec.blehnr_bpfi
         assert vec.blehnr_bpfo > vec.blehnr_bsf
@@ -172,6 +170,18 @@ class TestExtractFeatureVector:
         assert vec.kurtosis == pytest.approx(3.0, abs=0.2)
         assert max(vec.blehnr_bpfo, vec.blehnr_bpfi, vec.blehnr_bsf) < 0.1
 
+    def test_blehnr_features_equal_blehnr(self):
+        sig = simulate_bearing_fault(OUTER_100)
+        vec = extract_feature_vector(sig, self.FAULTS)
+        assert vec.blehnr_bpfo == blehnr(sig, self.FAULTS.bpfo_hz)
+        assert vec.blehnr_bpfi == blehnr(sig, self.FAULTS.bpfi_hz)
+        assert vec.blehnr_bsf == blehnr(sig, self.FAULTS.bsf_hz)
+
+    def test_names_follow_vector_order(self):
+        assert FEATURE_NAMES == ("kurtosis", "l1_l2", "blehnr_bpfo", "blehnr_bpfi", "blehnr_bsf")
+        vec = FeatureVector(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert vec.as_array().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_l1_l2_range(self):
         sig = simulate_bearing_fault(OUTER_100)
         vec = extract_feature_vector(sig, self.FAULTS)
@@ -179,7 +189,7 @@ class TestExtractFeatureVector:
 
     @pytest.mark.parametrize("k", [1e-6, 3.7, 1e6, -2.0])
     def test_full_vector_scale_invariance(self, k):
-        sig = simulate_bearing_fault(OUTER_100.with_overrides(seed=1))
+        sig = simulate_bearing_fault(replace(OUTER_100, seed=1))
         scaled = Signal(k * sig.samples, sig.sample_rate_hz)
         a = extract_feature_vector(sig, self.FAULTS).as_array()
         b = extract_feature_vector(scaled, self.FAULTS).as_array()

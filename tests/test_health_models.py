@@ -30,8 +30,8 @@ class TestSomTrain:
         data = np.tile(row, (20, 1))
         with pytest.warns(UserWarning):
             model = som_train(data, SomConfig(grid_rows=4, grid_cols=4, epochs=100, seed=0))
-        raw = model.codebook_raw()
-        assert np.max(np.abs(raw - row)) < 1e-3
+        assert np.allclose(model.mean, row, rtol=0, atol=1e-12)
+        assert model.kept_columns.size == 0
         assert som_mqe(model, row) < 1e-3
 
     def test_deterministic(self):
@@ -99,6 +99,25 @@ class TestSomSerialization:
         sample = data[3]
         assert som_mqe(loaded, sample) == som_mqe(model, sample)
 
+    def test_non_default_config_round_trips_exactly(self, tmp_path):
+        config = SomConfig(grid_rows=2, grid_cols=4, epochs=7, learning_rate_initial=0.3,
+                           learning_rate_final=0.003, radius_initial=1.7, radius_final=0.1,
+                           seed=41)
+        data = np.random.default_rng(9).standard_normal((12, 3))
+        model = som_train(data, config)
+        path = tmp_path / "som.json"
+        model.save(path)
+        loaded = SomModel.load(path)
+        assert loaded.config == config
+        assert json.loads(path.read_text())["config"] == {
+            "grid_rows": 2, "grid_cols": 4, "epochs": 7, "learning_rate_initial": 0.3,
+            "learning_rate_final": 0.003, "radius_initial": 1.7, "radius_final": 0.1,
+            "seed": 41,
+        }
+        assert np.array_equal(loaded.codebook, model.codebook)
+        assert np.array_equal(loaded.std, model.std)
+        assert np.array_equal(loaded.kept_columns, model.kept_columns)
+
     def test_validates_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib import resources
@@ -109,7 +128,9 @@ class TestSomSerialization:
         schema = json.loads(
             resources.files("sparsevib").joinpath("schemas/som_model.schema.json").read_text()
         )
-        jsonschema.validate(model.to_dict(), schema)
+        path = tmp_path / "som.json"
+        model.save(path)
+        jsonschema.validate(json.loads(path.read_text()), schema)
 
 
 class TestPca:
@@ -183,6 +204,11 @@ class TestKmeans:
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
             kmeans(rng.standard_normal((5, 2)), 6)
+
+    def test_restarts_validated(self):
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match="n_restarts"):
+            kmeans(rng.standard_normal((5, 2)), 2, n_restarts=0)
 
     def test_lloyd_descends_from_seeding(self):
         from sparsevib.health_models import _kmeanspp_init
