@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,13 @@ from .features import (
 )
 from .health_models import SomConfig
 from .ingest import _read_utf8, iterate_run_to_failure, read_ims_file, write_ims_file
-from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
+from .pipeline import (
+    DEFAULT_ASSESS_SOM,
+    assess_sequence,
+    classify_dataset,
+    filter_signal,
+    gradient_check,
+)
 from .simulate import (
     FaultSimConfig,
     LabeledDataset,
@@ -37,7 +43,7 @@ from .simulate import (
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
 )
-from .sparse_filter import CsfConfig
+from .sparse_filter import INIT_SCHEMES, CsfConfig
 
 OUTPUT_DIR_ENV = "SPARSEVIB_OUTPUT_DIR"
 
@@ -92,38 +98,15 @@ def _read_signal(path, sample_rate_hz):
     return read_ims_file(path, sample_rate_hz, expected_rows=None).channel_signal(0)
 
 
-def _sim_config_from_args(args):
-    components = tuple(c for c in (args.fault or "").split(",") if c)
-    return FaultSimConfig(
-        fault_components=components,
-        outer_fault_hz=args.outer_hz,
-        inner_fault_hz=args.inner_hz,
-        roller_fault_hz=args.roller_hz,
-        resonance_hz=args.resonance_hz,
-        damping_rate=args.damping_rate,
-        shaft_hz=args.shaft_hz,
-        snr_db=args.snr_db,
-        n_samples=args.n_samples,
-        sample_rate_hz=args.sample_rate,
-        period_jitter_fraction=args.jitter,
-        seed=args.seed,
-    )
-
-
 def _json_dict(items):
     """``asdict`` factory for sidecars: JSON has no infinity, so a noiseless ``snr_db`` is null."""
     return {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in items}
 
 
-def _csf_config_from_args(args):
-    return CsfConfig(
-        filter_length=args.filter_length,
-        epsilon=args.epsilon,
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.gradient_tolerance,
-        init_scheme=args.init,
-        seed=args.seed,
-    )
+def _config_from_args(cls, args, **fixed):
+    """A ``cls`` from the parsed flags whose dest names one of its fields, then ``fixed``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **fixed})
 
 
 def _fault_frequencies_from_args(args):
@@ -143,26 +126,40 @@ def _fault_frequencies_from_args(args):
     raise ValueError("fault frequencies required: --bpfo/--bpfi/--bsf or --geometry + --shaft-hz")
 
 
-def _add_sim_flags(parser):
-    parser.add_argument("--fault", default="", help="comma list from {outer,inner,roller}; empty = normal")
-    parser.add_argument("--snr-db", type=float, default=-8.0, help="signal-to-noise ratio, dB")
-    parser.add_argument("--n-samples", type=int, default=20480)
-    parser.add_argument("--sample-rate", type=float, default=20000.0)
-    parser.add_argument("--resonance-hz", type=float, default=3000.0)
-    parser.add_argument("--damping-rate", type=float, default=800.0)
-    parser.add_argument("--shaft-hz", type=float, default=33.3)
-    parser.add_argument("--outer-hz", type=float, default=100.0)
-    parser.add_argument("--inner-hz", type=float, default=160.0)
-    parser.add_argument("--roller-hz", type=float, default=70.0)
-    parser.add_argument("--jitter", type=float, default=0.01, help="period jitter fraction")
+# Flags that set a config field: flag -> (field, further argparse keywords).
+# The flag's dest is the field's name and its default the field's value in
+# the config it is registered from, so each default is stated only there.
+_FIELD_FLAGS = {
+    "--fault": ("fault_components", {"type": lambda text: tuple(filter(None, text.split(","))),
+                                     "help": "comma list from {outer,inner,roller}; empty = normal"}),
+    "--snr-db": ("snr_db", {"help": "signal-to-noise ratio, dB"}),
+    "--n-samples": ("n_samples", {}),
+    "--sample-rate": ("sample_rate_hz", {}),
+    "--resonance-hz": ("resonance_hz", {}),
+    "--damping-rate": ("damping_rate", {}),
+    "--shaft-hz": ("shaft_hz", {}),
+    "--outer-hz": ("outer_fault_hz", {}),
+    "--inner-hz": ("inner_fault_hz", {}),
+    "--roller-hz": ("roller_fault_hz", {}),
+    "--jitter": ("period_jitter_fraction", {"help": "period jitter fraction"}),
+    "--filter-length": ("filter_length", {}),
+    "--epsilon": ("epsilon", {}),
+    "--max-iterations": ("max_iterations", {}),
+    "--gradient-tolerance": ("gradient_tolerance", {}),
+    "--init": ("init_scheme", {"choices": INIT_SCHEMES}),
+    "--som-epochs": ("epochs", {}),
+    "--seed": ("seed", {}),
+}
+_SIM_FLAGS = ("--snr-db", "--n-samples", "--sample-rate", "--resonance-hz", "--damping-rate",
+              "--shaft-hz", "--outer-hz", "--jitter")
+_CSF_FLAGS = ("--filter-length", "--epsilon", "--max-iterations", "--gradient-tolerance", "--init")
 
 
-def _add_csf_flags(parser):
-    parser.add_argument("--filter-length", type=int, default=100)
-    parser.add_argument("--epsilon", type=float, default=1e-8)
-    parser.add_argument("--max-iterations", type=int, default=500)
-    parser.add_argument("--gradient-tolerance", type=float, default=1e-6)
-    parser.add_argument("--init", choices=("center_spike", "seeded_random"), default="center_spike")
+def _add_field_flags(parser, config, *flags):
+    for flag in flags:
+        name, kwargs = _FIELD_FLAGS[flag]
+        default = getattr(config, name)
+        parser.add_argument(flag, dest=name, default=default, **{"type": type(default), **kwargs})
 
 
 def _add_fault_freq_flags(parser):
@@ -174,7 +171,7 @@ def _add_fault_freq_flags(parser):
 
 
 def cmd_simulate(args):
-    config = _sim_config_from_args(args)
+    config = _config_from_args(FaultSimConfig, args)
     if args.noiseless:
         config = replace(config, snr_db=math.inf)
     signal = simulate_bearing_fault(config)
@@ -192,8 +189,8 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    signal = _read_signal(args.input, args.sample_rate)
-    config = _csf_config_from_args(args)
+    signal = _read_signal(args.input, args.sample_rate_hz)
+    config = _config_from_args(CsfConfig, args)
     t0 = time.perf_counter()
     result = filter_signal(signal, config, method=args.method)
     wall = time.perf_counter() - t0
@@ -221,7 +218,7 @@ def cmd_filter(args):
 
 
 def cmd_features(args):
-    signal = _read_signal(args.input, args.sample_rate)
+    signal = _read_signal(args.input, args.sample_rate_hz)
     faults = _fault_frequencies_from_args(args)
     vector = extract_feature_vector(signal, faults, args.band_fraction)
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
@@ -252,7 +249,7 @@ def _som_config_from_args(args):
         rows, cols = (int(t) for t in args.som_grid.lower().split("x"))
     except ValueError:
         raise ValueError("--som-grid expects ROWSxCOLS, e.g. 4x4") from None
-    return SomConfig(grid_rows=rows, grid_cols=cols, epochs=args.som_epochs, seed=args.seed)
+    return _config_from_args(SomConfig, args, grid_rows=rows, grid_cols=cols)
 
 
 def cmd_assess(args):
@@ -261,17 +258,17 @@ def cmd_assess(args):
         if args.channel is None:
             raise ValueError("--channel is required with --input-dir")
         sequence = iterate_run_to_failure(
-            args.input_dir, args.channel, args.sample_rate, expected_rows=None
+            args.input_dir, args.channel, args.sample_rate_hz, expected_rows=None
         )
         signals = sequence.signals
         source = {"input_dir": str(args.input_dir), "channel": args.channel,
                   "parse_errors": sequence.errors}
     else:
-        base = _sim_config_from_args(args)
+        base = _config_from_args(FaultSimConfig, args, fault_components=("outer",))
         signals = make_degradation_sequence(args.n_files, args.onset, base)
         source = {"simulated_degradation": {"n_files": args.n_files, "onset": args.onset,
                                             "config": asdict(base, dict_factory=_json_dict)}}
-    csf_config = _csf_config_from_args(args)
+    csf_config = _config_from_args(CsfConfig, args)
     som_config = _som_config_from_args(args)
     report = assess_sequence(signals, faults, csf_config, som_config,
                              n_train=args.n_train, band_fraction=args.band_fraction)
@@ -328,14 +325,14 @@ def _read_manifest(path, sample_rate):
 def cmd_classify(args):
     faults = _fault_frequencies_from_args(args)
     if args.manifest:
-        dataset = _read_manifest(args.manifest, args.sample_rate)
+        dataset = _read_manifest(args.manifest, args.sample_rate_hz)
         source = {"manifest": str(args.manifest)}
     else:
-        base = _sim_config_from_args(args)
+        base = _config_from_args(FaultSimConfig, args)
         dataset = make_fault_taxonomy_dataset(args.n_per_class, base, seed=args.seed)
         source = {"simulated_taxonomy": {"n_per_class": args.n_per_class,
                                          "config": asdict(base, dict_factory=_json_dict)}}
-    csf_config = _csf_config_from_args(args)
+    csf_config = _config_from_args(CsfConfig, args)
     report = classify_dataset(dataset, faults, csf_config,
                               band_fraction=args.band_fraction,
                               n_restarts=args.restarts, seed=args.seed)
@@ -396,25 +393,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sim, csf = FaultSimConfig(), CsfConfig()
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
-    _add_sim_flags(p)
+    _add_field_flags(p, sim, "--fault", *_SIM_FLAGS, "--inner-hz", "--roller-hz", "--seed")
     p.add_argument("--noiseless", action="store_true", help="add no noise (overrides --snr-db)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("filter", help="run the sparse filter (or MED) on a signal file")
     p.add_argument("--input", required=True)
-    p.add_argument("--sample-rate", type=float, default=None)
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     p.add_argument("--method", choices=("csf", "med"), default="csf")
-    _add_csf_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("features", help="extract the scale-invariant feature vector")
     p.add_argument("--input", required=True)
-    p.add_argument("--sample-rate", type=float, default=None)
+    p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     _add_fault_freq_flags(p)
     p.add_argument("--shaft-hz", type=float, default=None, help="shaft speed for --geometry")
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -424,17 +420,18 @@ def build_parser():
     p = sub.add_parser("assess", help="SOM-MQE health assessment over a snapshot sequence")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input-dir", help="directory of snapshot files")
-    group.add_argument("--simulate-degradation", action="store_true")
+    group.add_argument("--simulate-degradation", action="store_true",
+                       help="simulate an outer-race fault growing from --onset")
     p.add_argument("--channel", type=int, default=None)
     p.add_argument("--n-files", type=int, default=100)
     p.add_argument("--onset", type=int, default=40)
     p.add_argument("--n-train", type=int, default=20)
-    p.add_argument("--som-grid", default="3x3", help="ROWSxCOLS (default 3x3)")
-    p.add_argument("--som-epochs", type=int, default=200)
+    p.add_argument("--som-grid", default="{0.grid_rows}x{0.grid_cols}".format(DEFAULT_ASSESS_SOM),
+                   help="ROWSxCOLS (default %(default)s)")
+    _add_field_flags(p, DEFAULT_ASSESS_SOM, "--som-epochs")
     _add_fault_freq_flags(p)
-    _add_sim_flags(p)
-    _add_csf_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, sim, *_SIM_FLAGS)
+    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
     p.add_argument("-o", "--output", required=True, help="MQE series CSV path")
     p.set_defaults(func=cmd_assess)
@@ -446,9 +443,8 @@ def build_parser():
     p.add_argument("--n-per-class", type=int, default=10)
     p.add_argument("--restarts", type=int, default=10)
     _add_fault_freq_flags(p)
-    _add_sim_flags(p)
-    _add_csf_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, sim, *_SIM_FLAGS, "--inner-hz", "--roller-hz")
+    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -469,10 +465,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SignalParseError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (SignalParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, DegenerateInputError, NumericalFailureError) as exc:

@@ -23,7 +23,7 @@ from .health_models import (
     som_train,
     vat_order,
 )
-from .sparse_filter import CsfConfig, csf_cost, csf_gradient, fit_med, fit_simplified_csf
+from .sparse_filter import csf_cost, csf_gradient, fit_med, fit_simplified_csf
 
 __all__ = [
     "filter_signal",
@@ -50,7 +50,6 @@ ALARM_SIGMA = 6.0
 
 def filter_signal(signal, config=None, method="csf"):
     """Run the chosen adaptive filter; ``method`` is ``csf`` or ``med``."""
-    config = config or CsfConfig()
     if method == "csf":
         return fit_simplified_csf(signal, config)
     if method == "med":
@@ -66,7 +65,6 @@ def feature_matrix(signals, faults, band_fraction=DEFAULT_BAND_FRACTION):
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
     """Raw-branch and filtered-branch feature matrices for a signal sequence."""
-    csf_config = csf_config or CsfConfig()
     raw = feature_matrix(signals, faults, band_fraction)
     enhanced = [
         Signal(fit_simplified_csf(s, csf_config).filtered, s.sample_rate_hz) for s in signals
@@ -145,8 +143,8 @@ class ClassificationReport:
     labels: list
 
 
-def _classify_branch(matrix, labels, n_components, k, n_restarts, seed):
-    pca = pca_fit_transform(matrix, n_components)
+def _classify_branch(matrix, labels, k, n_restarts, seed):
+    pca = pca_fit_transform(matrix, 2)  # scores are pc1 and pc2
     km = kmeans(pca.scores, k, n_restarts=n_restarts, seed=seed)
     purity = cluster_purity(km.labels, np.asarray(labels))
     distances = np.sqrt(
@@ -169,7 +167,6 @@ def classify_dataset(
     faults,
     csf_config=None,
     band_fraction=DEFAULT_BAND_FRACTION,
-    n_components=2,
     n_restarts=10,
     seed=0,
 ):
@@ -182,13 +179,15 @@ def classify_dataset(
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ValueError("classification needs at least 2 classes")
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     raw_matrix, filtered_matrix = two_branch_features(
         dataset.signals, faults, csf_config, band_fraction
     )
     k = len(classes)
     return ClassificationReport(
-        raw=_classify_branch(raw_matrix, labels, n_components, k, n_restarts, seed),
-        filtered=_classify_branch(filtered_matrix, labels, n_components, k, n_restarts, seed),
+        raw=_classify_branch(raw_matrix, labels, k, n_restarts, seed),
+        filtered=_classify_branch(filtered_matrix, labels, k, n_restarts, seed),
         labels=labels,
     )
 

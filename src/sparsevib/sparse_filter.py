@@ -257,25 +257,13 @@ def fit_simplified_csf(signal, config=None):
     gtol = config.gradient_tolerance * max(np.max(np.abs(grad0)), np.finfo(float).tiny)
 
     history = [cost0]
-    last = {"w": w0, "cost": cost0}
 
-    def objective(w):
-        cost, grad = _cost_and_gradient(y, w, eps)
-        last["w"] = w
-        last["cost"] = cost
-        return cost, grad
-
-    def record(wk):
-        # The accepted iterate is the point evaluated last by the line
-        # search, so the cached cost almost always applies.
-        if np.array_equal(wk, last["w"]):
-            history.append(last["cost"])
-        else:
-            history.append(_cost_and_gradient(y, wk, eps)[0])
+    def record(intermediate_result):  # scipy passes the OptimizeResult only under this name
+        history.append(intermediate_result.fun)
 
     with _serial_solver():
         result = minimize(
-            objective,
+            lambda w: _cost_and_gradient(y, w, eps),
             w0,
             jac=True,
             method="L-BFGS-B",
@@ -289,8 +277,7 @@ def fit_simplified_csf(signal, config=None):
             },
         )
 
-    _, grad_final = _cost_and_gradient(y, result.x, eps)
-    converged = bool(result.status == 0 or np.max(np.abs(grad_final)) <= gtol)
+    converged = bool(result.status == 0 or np.max(np.abs(result.jac)) <= gtol)
 
     w = result.x / np.linalg.norm(result.x)
     filtered = _correlate_valid(y, w)

@@ -4,7 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sparsevib.cli import main
+from sparsevib import CsfConfig, FaultSimConfig, pipeline
+from sparsevib.cli import _config_from_args, _som_config_from_args, build_parser, main
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -187,6 +188,8 @@ class TestAssess:
         report = json.loads((tmp_path / "mqe.csv.json").read_text())
         jsonschema.validate(report, load_schema("report_assess.schema.json"))
         assert report["n_train"] == 8
+        config = report["source"]["simulated_degradation"]["config"]
+        assert config["fault_components"] == ["outer"]
 
     def test_save_models_round_trip(self, tmp_path):
         out = tmp_path / "mqe.csv"
@@ -326,7 +329,15 @@ class TestClassify:
         report = json.loads((outdir / "report.json").read_text())
         assert sorted(set(report["labels"])) == ["normal", "outer"]
 
-    def test_zero_restarts_rejected(self, tmp_path, capsys):
+    def test_zero_restarts_rejected(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        fit = pipeline.fit_simplified_csf
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
         code = run([
             "classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048",
             "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
@@ -335,6 +346,7 @@ class TestClassify:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "n_restarts" in err
+        assert fits == []
 
     def test_malformed_manifest_line_names_file_and_line(self, tmp_path, capsys):
         manifest = tmp_path / "runs.csv"
@@ -370,6 +382,31 @@ class TestClassify:
             "-o", str(tmp_path / "cls"),
         ])
         assert code == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--simulate-degradation", "--fault", "inner"],
+        ["assess", "--simulate-degradation", "--inner-hz", "150"],
+        ["assess", "--simulate-degradation", "--roller-hz", "60"],
+        ["classify", "--simulate-taxonomy", "--fault", "outer"],
+    ])
+    def test_flags_that_did_nothing_are_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                        "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+
+    def test_bare_command_lines_give_config_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["simulate", "-o", "x.csv"])
+        assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
+        args = parser.parse_args(["filter", "--input", "x.csv", "-o", "y.csv"])
+        assert _config_from_args(CsfConfig, args) == CsfConfig()
+        args = parser.parse_args(["assess", "--simulate-degradation", "-o", "mqe.csv"])
+        assert _som_config_from_args(args) == pipeline.DEFAULT_ASSESS_SOM
+        assert _config_from_args(CsfConfig, args) == CsfConfig()
+        assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
 
 
 class TestReadmePipeline:
