@@ -53,6 +53,7 @@ from .pipeline import (
     classify_dataset,
     feature_matrix,
     filter_signal,
+    fit_signals,
     gradient_check,
     two_branch_features,
 )

@@ -7,10 +7,12 @@ metadata.  Exit codes: 0 success, 1 validation or tolerance failure,
 """
 
 import argparse
+import inspect
 import io
 import json
 import math
 import os
+import statistics
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -103,6 +105,10 @@ def _json_dict(items):
     return {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in items}
 
 
+class _UsageError(Exception):
+    """A flag the chosen input mode does not read; ``main`` exits 2 through the parser."""
+
+
 def _config_from_args(cls, args, **fixed):
     """A ``cls`` from the parsed flags whose dest names one of its fields, then ``fixed``."""
     names = {f.name for f in fields(cls)}
@@ -150,9 +156,18 @@ _FIELD_FLAGS = {
     "--som-epochs": ("epochs", {}),
     "--seed": ("seed", {}),
 }
-_SIM_FLAGS = ("--snr-db", "--n-samples", "--sample-rate", "--resonance-hz", "--damping-rate",
-              "--shaft-hz", "--outer-hz", "--jitter")
+_SIM_FIELD_FLAGS = ("--snr-db", "--n-samples", "--resonance-hz", "--damping-rate", "--outer-hz",
+                    "--jitter")
 _CSF_FLAGS = ("--filter-length", "--epsilon", "--max-iterations", "--gradient-tolerance", "--init")
+
+# Flags of ``assess`` and ``classify`` that only simulated input reads, by dest.
+# They are registered without a default, so one given with file input shows
+# in the namespace and is rejected.  With simulated input the config fields
+# left out keep their dataclass defaults, and the other flags default to these.
+_SIM_ONLY_DEFAULTS = {"n_files": 100, "onset": 40, "n_per_class": 10}
+_SIM_ONLY = {"--n-files": "n_files", "--onset": "onset", "--n-per-class": "n_per_class",
+             **{flag: _FIELD_FLAGS[flag][0]
+                for flag in (*_SIM_FIELD_FLAGS, "--inner-hz", "--roller-hz")}}
 
 
 def _add_field_flags(parser, config, *flags):
@@ -160,6 +175,48 @@ def _add_field_flags(parser, config, *flags):
         name, kwargs = _FIELD_FLAGS[flag]
         default = getattr(config, name)
         parser.add_argument(flag, dest=name, default=default, **{"type": type(default), **kwargs})
+
+
+def _add_simulation_flags(parser, mode_flag, sim, *flags):
+    """Flags read only with ``mode_flag``, registered without a default (see ``_SIM_ONLY``)."""
+    group = parser.add_argument_group(f"read only with {mode_flag}")
+    for flag in flags:
+        dest = _SIM_ONLY[flag]
+        if flag in _FIELD_FLAGS:
+            kwargs = {"type": type(getattr(sim, dest)), **_FIELD_FLAGS[flag][1]}
+        else:
+            kwargs = {"type": int, "help": f"default {_SIM_ONLY_DEFAULTS[dest]}"}
+        group.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
+
+
+def _input_mode_args(args, file_flag):
+    """``args`` for the chosen input: with ``file_flag`` no simulation-only flag may be given."""
+    if file_flag:
+        given = [flag for flag, dest in _SIM_ONLY.items() if dest in vars(args)]
+        if given:
+            raise _UsageError(f"{given[0]} is read only with simulated input, not with {file_flag}")
+        return args
+    return argparse.Namespace(**{**_SIM_ONLY_DEFAULTS, **vars(args)})
+
+
+def _add_param_flags(parser, func, flags):
+    """Flags for parameters of ``func``: each dest is the parameter, its default the parameter's."""
+    params = inspect.signature(func).parameters
+    for flag, name in flags.items():
+        default = params[name].default
+        parser.add_argument(flag, dest=name, type=type(default), default=default)
+
+
+def _fit_summary(fits):
+    """The ``filter_fits`` block of a report: how the sparse-filter fits went, per snapshot."""
+    iterations = [fit.iterations for fit in fits]
+    return {
+        "count": len(fits),
+        "converged": sum(fit.converged for fit in fits),
+        "iterations": {"min": min(iterations), "median": statistics.median(iterations),
+                       "max": max(iterations)},
+        "not_converged": [i for i, fit in enumerate(fits, start=1) if not fit.converged],
+    }
 
 
 def _add_fault_freq_flags(parser):
@@ -253,6 +310,7 @@ def _som_config_from_args(args):
 
 
 def cmd_assess(args):
+    args = _input_mode_args(args, "--input-dir" if args.input_dir else None)
     faults = _fault_frequencies_from_args(args)
     if args.input_dir:
         if args.channel is None:
@@ -291,6 +349,7 @@ def cmd_assess(args):
         "raw": {"threshold": report.raw.threshold, "alarm_index": report.raw.alarm_index},
         "filtered": {"threshold": report.filtered.threshold,
                      "alarm_index": report.filtered.alarm_index},
+        "filter_fits": _fit_summary(report.fits),
     }
     _write_sidecar(out, payload)
     if args.save_models:
@@ -323,6 +382,7 @@ def _read_manifest(path, sample_rate):
 
 
 def cmd_classify(args):
+    args = _input_mode_args(args, "--manifest" if args.manifest else None)
     faults = _fault_frequencies_from_args(args)
     if args.manifest:
         dataset = _read_manifest(args.manifest, args.sample_rate_hz)
@@ -335,7 +395,7 @@ def cmd_classify(args):
     csf_config = _config_from_args(CsfConfig, args)
     report = classify_dataset(dataset, faults, csf_config,
                               band_fraction=args.band_fraction,
-                              n_restarts=args.restarts, seed=args.seed)
+                              n_restarts=args.n_restarts, seed=args.seed)
 
     outdir = _out_path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -356,7 +416,7 @@ def cmd_classify(args):
         "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
                                  "bsf": faults.bsf_hz},
         "csf_config": asdict(csf_config),
-        "kmeans_restarts": args.restarts,
+        "kmeans_restarts": args.n_restarts,
         "raw": {"purity": report.raw.purity,
                 "explained_variance": report.raw.explained_variance_fractions.tolist(),
                 "vat_order": report.raw.vat.order.tolist()},
@@ -364,6 +424,7 @@ def cmd_classify(args):
                      "explained_variance": report.filtered.explained_variance_fractions.tolist(),
                      "vat_order": report.filtered.vat.order.tolist()},
         "labels": report.labels,
+        "filter_fits": _fit_summary(report.fits),
     }
     with open(outdir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -373,11 +434,12 @@ def cmd_classify(args):
 
 
 def cmd_gradcheck(args):
-    errors = gradient_check(n_trials=args.trials, n_samples=args.n,
+    errors = gradient_check(n_trials=args.n_trials, n_samples=args.n_samples,
                             filter_length=args.filter_length, step=args.step,
                             seed=args.seed)
     worst = float(errors.max())
-    print(f"{args.trials} trials (N={args.n}, l={args.filter_length}, step={args.step:g}): "
+    print(f"{args.n_trials} trials (N={args.n_samples}, l={args.filter_length}, "
+          f"step={args.step:g}): "
           f"max relative error {worst:.3e}")
     if worst > args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")
@@ -395,7 +457,8 @@ def build_parser():
 
     sim, csf = FaultSimConfig(), CsfConfig()
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
-    _add_field_flags(p, sim, "--fault", *_SIM_FLAGS, "--inner-hz", "--roller-hz", "--seed")
+    _add_field_flags(p, sim, "--fault", "--sample-rate", "--shaft-hz", *_SIM_FIELD_FLAGS,
+                     "--inner-hz", "--roller-hz", "--seed")
     p.add_argument("--noiseless", action="store_true", help="add no noise (overrides --snr-db)")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
@@ -423,15 +486,15 @@ def build_parser():
     group.add_argument("--simulate-degradation", action="store_true",
                        help="simulate an outer-race fault growing from --onset")
     p.add_argument("--channel", type=int, default=None)
-    p.add_argument("--n-files", type=int, default=100)
-    p.add_argument("--onset", type=int, default=40)
-    p.add_argument("--n-train", type=int, default=20)
+    _add_param_flags(p, assess_sequence, {"--n-train": "n_train"})
     p.add_argument("--som-grid", default="{0.grid_rows}x{0.grid_cols}".format(DEFAULT_ASSESS_SOM),
                    help="ROWSxCOLS (default %(default)s)")
     _add_field_flags(p, DEFAULT_ASSESS_SOM, "--som-epochs")
     _add_fault_freq_flags(p)
-    _add_field_flags(p, sim, *_SIM_FLAGS)
+    _add_field_flags(p, sim, "--sample-rate", "--shaft-hz")
     _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
+    _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
+                          *_SIM_FIELD_FLAGS)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
     p.add_argument("-o", "--output", required=True, help="MQE series CSV path")
     p.set_defaults(func=cmd_assess)
@@ -440,20 +503,19 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--simulate-taxonomy", action="store_true")
     group.add_argument("--manifest", help="CSV manifest: path,label per row")
-    p.add_argument("--n-per-class", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=10)
+    _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts"})
     _add_fault_freq_flags(p)
-    _add_field_flags(p, sim, *_SIM_FLAGS, "--inner-hz", "--roller-hz")
+    _add_field_flags(p, sim, "--sample-rate", "--shaft-hz")
     _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
+    _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
+                          "--inner-hz", "--roller-hz")
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gradcheck", help="verify the analytic gradient against finite differences")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--filter-length", type=int, default=32)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=1234)
+    _add_param_flags(p, gradient_check, {"--trials": "n_trials", "--n": "n_samples",
+                                         "--filter-length": "filter_length", "--step": "step",
+                                         "--seed": "seed"})
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -465,6 +527,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (SignalParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

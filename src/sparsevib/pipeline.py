@@ -6,11 +6,15 @@ assessment and classification pipelines always process a raw branch
 (features from the sparse-filter output) side by side.
 """
 
+import multiprocessing
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_signal import Signal, convolve_valid
+from .errors import NumericalFailureError
 from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
@@ -28,6 +32,7 @@ from .sparse_filter import csf_cost, csf_gradient, fit_med, fit_simplified_csf
 __all__ = [
     "filter_signal",
     "feature_matrix",
+    "fit_signals",
     "two_branch_features",
     "BranchAssessment",
     "AssessmentReport",
@@ -57,20 +62,74 @@ def filter_signal(signal, config=None, method="csf"):
     raise ValueError(f"unknown filter method {method!r}")
 
 
+def _at_snapshot(index, func, *args):
+    """``func(*args)``; an error it raises names the snapshot's 1-based ``index``."""
+    try:
+        return func(*args)
+    except (ValueError, NumericalFailureError) as exc:
+        exc.args = (f"snapshot {index}: {exc}",)
+        raise
+
+
 def feature_matrix(signals, faults, band_fraction=DEFAULT_BAND_FRACTION):
     """Stack per-signal feature vectors into a FeatureMatrix."""
-    rows = [extract_feature_vector(s, faults, band_fraction).as_array() for s in signals]
+    rows = [_at_snapshot(i, extract_feature_vector, s, faults, band_fraction).as_array()
+            for i, s in enumerate(signals, start=1)]
     return FeatureMatrix(values=np.vstack(rows), feature_names=FEATURE_NAMES)
 
 
+def _fit(signal, config):
+    # Helpers receive this function by name.  It calls whatever this module
+    # binds as ``fit_simplified_csf`` (a tracing or test wrapper included),
+    # in this process and in forked helpers alike.
+    return fit_simplified_csf(signal, config)
+
+
+def _fit_here(signal, config):
+    """A finished Future holding the in-process fit of ``signal``, or the error it raised."""
+    future = Future()
+    try:
+        future.set_result(_fit(signal, config))
+    except Exception as exc:  # read back in input order by fit_signals
+        future.set_exception(exc)
+    return future
+
+
+def fit_signals(signals, config=None):
+    """Sparse-filter fits of ``signals``, one ``CsfResult`` each, in input order.
+
+    The fits run on the CPUs in this process's affinity mask: ``count - 1``
+    forked helpers take signals from the head of the list while this
+    process fits, from the tail, every one it can still take back, so fits
+    of different lengths stay balanced.  A fit does not depend on the
+    process that runs it, so neither do the results.  With one CPU, or
+    without ``fork``, the fits run here in order.  When fits fail, the
+    error of the first failing signal is raised, whatever the CPU count,
+    and its message names the snapshot.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helpers = min(cpus, len(signals)) - 1
+    if helpers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_at_snapshot(i, _fit, s, config) for i, s in enumerate(signals, start=1)]
+    # fork, not spawn: a spawned helper would import scipy again on every call.
+    pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_fit, s, config) for s in signals]
+        for i in reversed(range(len(futures))):
+            if futures[i].cancel():
+                futures[i] = _fit_here(signals[i], config)
+        return [_at_snapshot(i, f.result) for i, f in enumerate(futures, start=1)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
-    """Raw-branch and filtered-branch feature matrices for a signal sequence."""
+    """Raw-branch and filtered-branch feature matrices, and the fits behind the filtered one."""
     raw = feature_matrix(signals, faults, band_fraction)
-    enhanced = [
-        Signal(fit_simplified_csf(s, csf_config).filtered, s.sample_rate_hz) for s in signals
-    ]
+    fits = fit_signals(signals, csf_config)
+    enhanced = [Signal(fit.filtered, s.sample_rate_hz) for fit, s in zip(fits, signals)]
     filtered = feature_matrix(enhanced, faults, band_fraction)
-    return raw, filtered
+    return raw, filtered, fits
 
 
 @dataclass
@@ -86,6 +145,7 @@ class AssessmentReport:
     raw: BranchAssessment
     filtered: BranchAssessment
     n_train: int
+    fits: list  # the CsfResult of each snapshot
 
 
 def _assess_branch(matrix, n_train, som_config):
@@ -117,11 +177,14 @@ def assess_sequence(
     if len(signals) < n_train + 1:
         raise ValueError(f"need at least {n_train + 1} snapshots, got {len(signals)}")
     som_config = som_config or DEFAULT_ASSESS_SOM
-    raw_matrix, filtered_matrix = two_branch_features(signals, faults, csf_config, band_fraction)
+    raw_matrix, filtered_matrix, fits = two_branch_features(
+        signals, faults, csf_config, band_fraction
+    )
     return AssessmentReport(
         raw=_assess_branch(raw_matrix, n_train, som_config),
         filtered=_assess_branch(filtered_matrix, n_train, som_config),
         n_train=n_train,
+        fits=fits,
     )
 
 
@@ -141,6 +204,7 @@ class ClassificationReport:
     raw: BranchClassification
     filtered: BranchClassification
     labels: list
+    fits: list  # the CsfResult of each signal
 
 
 def _classify_branch(matrix, labels, k, n_restarts, seed):
@@ -181,7 +245,7 @@ def classify_dataset(
         raise ValueError("classification needs at least 2 classes")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
-    raw_matrix, filtered_matrix = two_branch_features(
+    raw_matrix, filtered_matrix, fits = two_branch_features(
         dataset.signals, faults, csf_config, band_fraction
     )
     k = len(classes)
@@ -189,6 +253,7 @@ def classify_dataset(
         raw=_classify_branch(raw_matrix, labels, k, n_restarts, seed),
         filtered=_classify_branch(filtered_matrix, labels, k, n_restarts, seed),
         labels=labels,
+        fits=fits,
     )
 
 

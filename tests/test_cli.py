@@ -1,5 +1,10 @@
+import contextlib
+import importlib.util
+import inspect
 import json
+import os
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,28 @@ def load_schema(name):
 
 def run(argv):
     return main(argv)
+
+
+def check_filter_fits(block, count):
+    assert block["count"] == count
+    assert block["converged"] + len(block["not_converged"]) == count
+    its = block["iterations"]
+    assert 0 <= its["min"] <= its["median"] <= its["max"]
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Restrict this thread's affinity mask to one CPU, so fits run in-process in order."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="needs a settable CPU affinity mask")
 
 
 @pytest.fixture()
@@ -190,6 +217,7 @@ class TestAssess:
         assert report["n_train"] == 8
         config = report["source"]["simulated_degradation"]["config"]
         assert config["fault_components"] == ["outer"]
+        check_filter_fits(report["filter_fits"], 25)
 
     def test_save_models_round_trip(self, tmp_path):
         out = tmp_path / "mqe.csv"
@@ -301,6 +329,7 @@ class TestClassify:
         report = json.loads((outdir / "report.json").read_text())
         jsonschema.validate(report, load_schema("report_classify.schema.json"))
         assert len(report["labels"]) == 16
+        check_filter_fits(report["filter_fits"], 16)
         vat = np.loadtxt(outdir / "vat_filtered.csv", delimiter=",")
         assert vat.shape == (16, 16)
         scores = (outdir / "scores_filtered.csv").read_text().splitlines()
@@ -384,6 +413,90 @@ class TestClassify:
         assert code == 1
 
 
+def write_manifest(tmp_path, signals):
+    """One snapshot file per signal, labelled normal and outer in turn, and their manifest."""
+    from sparsevib import write_ims_file
+
+    lines = ["path,label"]
+    for i, samples in enumerate(signals):
+        write_ims_file(tmp_path / f"sig{i}.txt", samples[:, None])
+        lines.append(f"sig{i}.txt,{('normal', 'outer')[i % 2]}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def taxonomy_signals(n):
+    from sparsevib import simulate_bearing_fault
+
+    return [simulate_bearing_fault(FaultSimConfig(
+        fault_components=("outer",) * (i % 2), snr_db=0.0, n_samples=4096,
+        damping_rate=2000.0, seed=i)).samples for i in range(n)]
+
+
+@needs_affinity
+class TestCpuCount:
+    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
+
+    def outputs_on_one_and_all_cpus(self, argv, out):
+        with one_cpu():
+            assert run(argv + ["-o", str(out / "one")]) == 0
+        assert run(argv + ["-o", str(out / "all")]) == 0
+        return out / "one", out / "all"
+
+    def test_classify_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        one, every = self.outputs_on_one_and_all_cpus([
+            "classify", "--simulate-taxonomy", "--n-per-class", "2", "--n-samples", "4096",
+            *self.FAULTS, "--filter-length", "50", "--restarts", "3",
+        ], tmp_path)
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in every.iterdir()) and "report.json" in names
+        for name in names:
+            assert (one / name).read_bytes() == (every / name).read_bytes(), name
+
+    def test_assess_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        one, every = self.outputs_on_one_and_all_cpus([
+            "assess", "--simulate-degradation", "--n-files", "8", "--onset", "5",
+            "--n-train", "4", "--n-samples", "4096", "--som-epochs", "10",
+            *self.FAULTS, "--filter-length", "50",
+        ], tmp_path)
+        assert one.read_bytes() == every.read_bytes()  # the MQE CSV
+        assert Path(f"{one}.json").read_bytes() == Path(f"{every}.json").read_bytes()
+
+    def errors_on_one_and_all_cpus(self, manifest, capsys, *flags):
+        argv = ["classify", "--manifest", str(manifest), "--sample-rate", "20000",
+                *self.FAULTS, *flags, "-o", str(manifest.parent / "cls")]
+        with one_cpu():
+            assert run(argv) == 1
+        first = capsys.readouterr().err
+        assert run(argv) == 1
+        assert capsys.readouterr().err == first
+        return first
+
+    def test_constant_snapshot_is_named(self, tmp_path, capsys):
+        signals = taxonomy_signals(8)
+        signals[5] = np.full(4096, 0.25)
+        err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
+                                              "--filter-length", "50")
+        assert err == "error: snapshot 6: autocorrelation of a constant signal is undefined\n"
+
+    def test_first_short_snapshot_is_named(self, tmp_path, capsys):
+        signals = taxonomy_signals(8)
+        for k in (4, 6):  # shorter than 2 * --filter-length
+            signals[k] = signals[k][:300]
+        err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
+                                              "--filter-length", "200")
+        assert err == "error: snapshot 5: filter_length 200 exceeds N/2 for N=300\n"
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["assess", "--simulate-degradation", "--fault", "inner"],
@@ -397,6 +510,38 @@ class TestFlags:
                         "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
 
+    SIMULATION_ONLY = [("--snr-db", "0"), ("--n-samples", "4096"), ("--resonance-hz", "3000"),
+                       ("--damping-rate", "900"), ("--outer-hz", "100"), ("--jitter", "0.01")]
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        *[(["assess", "--input-dir", "run", "--channel", "0"], flag, value)
+          for flag, value in [("--n-files", "30"), ("--onset", "10"), *SIMULATION_ONLY]],
+        *[(["classify", "--manifest", "m.csv"], flag, value)
+          for flag, value in [("--n-per-class", "3"), *SIMULATION_ONLY,
+                              ("--inner-hz", "150"), ("--roller-hz", "60")]],
+    ])
+    def test_simulation_flags_rejected_with_file_input(self, mode, flag, value, tmp_path,
+                                                       capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(mode + [flag, value, "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                        "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} is read only with simulated input" in err
+
+    def test_benchmark_command_lines_run(self, tmp_path):
+        workloads = _perfbench_workloads()
+        tiny = [workloads.ClassifyTaxonomy(n_per_class=1, n_samples=2048),
+                workloads.AssessImsRun(n_files=5, onset=4, n_train=3, n_samples=2048,
+                                       n_channels=1),
+                workloads.OutlierStudy(n_records=1, n_samples=1024, med_length=64)]
+        for workload in tiny:
+            inputs, out = tmp_path / workload.name / "in", tmp_path / workload.name / "out"
+            inputs.mkdir(parents=True)
+            workload.write_inputs(inputs, 0)
+            for argv in workload.invocations(inputs, out):
+                assert run(argv) == 0, argv
+
     def test_bare_command_lines_give_config_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["simulate", "-o", "x.csv"])
@@ -407,6 +552,17 @@ class TestFlags:
         assert _som_config_from_args(args) == pipeline.DEFAULT_ASSESS_SOM
         assert _config_from_args(CsfConfig, args) == CsfConfig()
         assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
+        assert args.n_train == default_of(pipeline.assess_sequence, "n_train")
+        args = parser.parse_args(["classify", "--simulate-taxonomy", "-o", "out"])
+        assert args.n_restarts == default_of(pipeline.classify_dataset, "n_restarts")
+        args = parser.parse_args(["gradcheck"])
+        params = inspect.signature(pipeline.gradient_check).parameters
+        assert {name: getattr(args, name) for name in params} == {
+            name: param.default for name, param in params.items()}
+
+
+def default_of(func, name):
+    return inspect.signature(func).parameters[name].default
 
 
 class TestReadmePipeline:

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,8 @@ from sparsevib import (
     simulate_bearing_fault,
     two_branch_features,
 )
+from sparsevib import pipeline
+from sparsevib.pipeline import fit_signals
 from sparsevib.simulate import LabeledDataset
 
 FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
@@ -40,7 +43,8 @@ class TestFilterSignal:
 class TestFeatureMatrices:
     def test_two_branch_shapes(self):
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(3)]
-        raw, filt = two_branch_features(signals, FAULTS, FAST_CSF)
+        raw, filt, fits = two_branch_features(signals, FAULTS, FAST_CSF)
+        assert len(fits) == 3
         assert raw.values.shape == (3, 5)
         assert filt.values.shape == (3, 5)
         assert raw.feature_names == ("kurtosis", "l1_l2", "blehnr_bpfo",
@@ -50,6 +54,52 @@ class TestFeatureMatrices:
         signals = [simulate_bearing_fault(FAST_SIM)]
         fm = feature_matrix(signals, FAULTS)
         assert fm.values.shape == (1, 5)
+
+
+def fake_affinity(monkeypatch, n_cpus):
+    """Make ``fit_signals`` see ``n_cpus`` CPUs in the affinity mask, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+
+
+class TestFitSignals:
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_matches_the_serial_loop_bit_for_bit(self, monkeypatch, n_cpus):
+        # Mixed lengths, so the helpers and the caller finish at different times.
+        signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=n, snr_db=-3.0, seed=s))
+                   for s, n in enumerate([8192, 20480, 8192, 8192, 20480, 8192])]
+        config = CsfConfig(filter_length=100)
+        expected = [fit_simplified_csf(s, config) for s in signals]
+        fake_affinity(monkeypatch, n_cpus)
+        results = fit_signals(signals, config)
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            for name in ("w", "filtered", "cost_history"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_the_caller_fits_from_the_tail(self, monkeypatch):
+        fitted = []
+        fit = pipeline.fit_simplified_csf
+
+        def recorded_fit(signal, config):
+            fitted.append(signal.samples[0])  # only fits in this process are seen
+            return fit(signal, config)
+
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", recorded_fit)
+        fake_affinity(monkeypatch, 2)
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
+        fit_signals(signals, FAST_CSF)
+        assert 1 <= len(fitted) < len(signals)
+        assert fitted[0] == signals[-1].samples[0]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_the_first_failing_signal_is_reported(self, monkeypatch, n_cpus):
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
+        for k in (2, 5):  # the tail-first caller meets index 5 first
+            signals[k] = replace(signals[k], samples=signals[k].samples[:60])
+        fake_affinity(monkeypatch, n_cpus)
+        with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 50 exceeds N/2"):
+            fit_signals(signals, FAST_CSF)
 
 
 class TestAssessSequence:
