@@ -8,7 +8,6 @@ assessment and classification pipelines always process a raw branch
 
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,49 +77,90 @@ def feature_matrix(signals, faults, band_fraction=DEFAULT_BAND_FRACTION):
     return FeatureMatrix(values=np.vstack(rows), feature_names=FEATURE_NAMES)
 
 
-def _fit(signal, config):
-    # Helpers receive this function by name.  It calls whatever this module
-    # binds as ``fit_simplified_csf`` (a tracing or test wrapper included),
-    # in this process and in forked helpers alike.
-    return fit_simplified_csf(signal, config)
+def _claim(bounds, from_tail):
+    """Index of the next unclaimed signal at one end of ``bounds``, or None when none is left."""
+    with bounds.get_lock():
+        head, tail = bounds
+        if head >= tail:
+            return None
+        if from_tail:
+            bounds[1] = tail - 1
+            return tail - 1
+        bounds[0] = head + 1
+        return head
 
 
-def _fit_here(signal, config):
-    """A finished Future holding the in-process fit of ``signal``, or the error it raised."""
-    future = Future()
-    try:
-        future.set_result(_fit(signal, config))
-    except Exception as exc:  # read back in input order by fit_signals
-        future.set_exception(exc)
-    return future
+def _fit_claimed(signals, config, bounds, from_tail):
+    """Fit signals claimed one at a time from one end: ``{index: CsfResult or its error}``."""
+    outcomes = {}
+    while (i := _claim(bounds, from_tail)) is not None:
+        try:
+            outcomes[i] = fit_simplified_csf(signals[i], config)
+        except Exception as exc:  # raised in input order by fit_signals
+            outcomes[i] = exc
+    return outcomes
+
+
+def _helper(sender, signals, config, bounds):
+    sender.send(_fit_claimed(signals, config, bounds, from_tail=False))
+    sender.close()
+
+
+def _returned(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fit_signals(signals, config=None):
     """Sparse-filter fits of ``signals``, one ``CsfResult`` each, in input order.
 
     The fits run on the CPUs in this process's affinity mask: ``count - 1``
-    forked helpers take signals from the head of the list while this
-    process fits, from the tail, every one it can still take back, so fits
-    of different lengths stay balanced.  A fit does not depend on the
-    process that runs it, so neither do the results.  With one CPU, or
-    without ``fork``, the fits run here in order.  When fits fail, the
-    error of the first failing signal is raised, whatever the CPU count,
-    and its message names the snapshot.
+    forked helpers claim signals one at a time from the head of the list
+    while this process claims them from the tail, so fits of different
+    lengths stay balanced.  A helper claims its next signal itself, through
+    a pair of shared bounds, and sends its fits back once none is left, so
+    it never waits on this process.  A fit does not depend on the process
+    that runs it, so neither do the results.  With one CPU, or without
+    ``fork``, the fits run here in order.  When fits fail, the error of the
+    first failing signal is raised, whatever the CPU count, and its message
+    names the snapshot.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     helpers = min(cpus, len(signals)) - 1
     if helpers < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_at_snapshot(i, _fit, s, config) for i, s in enumerate(signals, start=1)]
-    # fork, not spawn: a spawned helper would import scipy again on every call.
-    pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("fork"))
+        return [_at_snapshot(i, fit_simplified_csf, s, config)
+                for i, s in enumerate(signals, start=1)]
+    # fork, not spawn: a spawned helper would import scipy again on every call,
+    # and a forked one has the signals without their being sent.
+    context = multiprocessing.get_context("fork")
+    bounds = context.Array("l", [0, len(signals)])  # unclaimed: bounds[0] <= i < bounds[1]
+    processes, receivers = [], []
     try:
-        futures = [pool.submit(_fit, s, config) for s in signals]
-        for i in reversed(range(len(futures))):
-            if futures[i].cancel():
-                futures[i] = _fit_here(signals[i], config)
-        return [_at_snapshot(i, f.result) for i, f in enumerate(futures, start=1)]
+        for _ in range(helpers):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_helper, args=(sender, signals, config, bounds),
+                                      daemon=True)
+            process.start()
+            sender.close()
+            processes.append(process)
+            receivers.append(receiver)
+        outcomes = _fit_claimed(signals, config, bounds, from_tail=True)
+        for receiver in receivers:
+            try:
+                outcomes.update(receiver.recv())
+            except EOFError:
+                raise RuntimeError("a fit helper exited before sending its fits") from None
+    except BaseException:
+        for process in processes:
+            process.terminate()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for receiver in receivers:
+            receiver.close()
+        for process in processes:
+            process.join()
+    return [_at_snapshot(i, _returned, outcomes[i - 1]) for i in range(1, len(signals) + 1)]
 
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +102,46 @@ class TestFitSignals:
         fake_affinity(monkeypatch, n_cpus)
         with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 50 exceeds N/2"):
             fit_signals(signals, FAST_CSF)
+
+    def test_more_workers_than_cores_fit_each_signal_once(self, monkeypatch):
+        fits, fit = multiprocessing.Value("i", 0), pipeline.fit_simplified_csf
+
+        def counted_fit(signal, config):
+            with fits.get_lock():  # shared with the forked helpers
+                fits.value += 1
+            return fit(signal, config)
+
+        signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=1024, seed=s))
+                   for s in range(60)]
+        config = CsfConfig(filter_length=16, max_iterations=5)
+        expected = [fit(s, config) for s in signals]
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
+        fake_affinity(monkeypatch, 6)
+        results = fit_signals(signals, config)
+        assert fits.value == len(signals)
+        assert all(np.array_equal(got.w, want.w) for got, want in zip(results, expected))
+
+    def test_no_helper_outlives_the_call(self, monkeypatch):
+        fake_affinity(monkeypatch, 3)
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
+        fit_signals(signals, FAST_CSF)
+        assert multiprocessing.active_children() == []
+
+    def test_a_helper_that_dies_is_reported(self, monkeypatch):
+        caller, fit = os.getpid(), pipeline.fit_simplified_csf
+
+        def dying_fit(signal, config):
+            if os.getpid() != caller:
+                os._exit(1)
+            time.sleep(0.1)  # so the helper is up before the caller has claimed every signal
+            return fit(signal, config)
+
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", dying_fit)
+        fake_affinity(monkeypatch, 2)
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
+        with pytest.raises(RuntimeError, match="helper exited"):
+            fit_signals(signals, FAST_CSF)
+        assert multiprocessing.active_children() == []
 
 
 class TestAssessSequence:
