@@ -125,6 +125,8 @@ def _fault_frequencies_from_args(args):
             n, d, big_d, angle = (float(t) for t in args.geometry.split(","))
         except ValueError:
             raise ValueError("--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad")
+        if "shaft_hz" not in vars(args):
+            raise ValueError("--geometry needs --shaft-hz")
         geometry = BearingGeometry(int(n), d, big_d, angle)
         return fault_frequencies(geometry, args.shaft_hz)
     if all(v is not None for v in explicit):
@@ -190,13 +192,20 @@ def _add_simulation_flags(parser, mode_flag, sim, *flags):
 
 
 def _input_mode_args(args, file_flag):
-    """``args`` for the chosen input: with ``file_flag`` no simulation-only flag may be given."""
+    """``args`` for the chosen input: with ``file_flag`` no flag that input ignores may be given.
+
+    Simulated input reads ``--shaft-hz`` and fills in its default; a file
+    reads it only with ``--geometry``.
+    """
     if file_flag:
         given = [flag for flag, dest in _SIM_ONLY.items() if dest in vars(args)]
         if given:
             raise _UsageError(f"{given[0]} is read only with simulated input, not with {file_flag}")
+        if "shaft_hz" in vars(args) and args.geometry is None:
+            raise _UsageError(f"--shaft-hz is read with {file_flag} only together with --geometry")
         return args
-    return argparse.Namespace(**{**_SIM_ONLY_DEFAULTS, **vars(args)})
+    return argparse.Namespace(**{**_SIM_ONLY_DEFAULTS, "shaft_hz": FaultSimConfig.shaft_hz,
+                                 **vars(args)})
 
 
 def _add_param_flags(parser, func, flags):
@@ -219,11 +228,20 @@ def _fit_summary(fits):
     }
 
 
-def _add_fault_freq_flags(parser):
+def _add_fault_freq_flags(parser, sim=None):
+    """Fault-frequency flags; with ``sim`` the simulated input also reads ``--shaft-hz``.
+
+    ``--shaft-hz`` has no default here (see ``_input_mode_args``).
+    """
     parser.add_argument("--bpfo", type=float, help="outer-race defect frequency, Hz")
     parser.add_argument("--bpfi", type=float, help="inner-race defect frequency, Hz")
     parser.add_argument("--bsf", type=float, help="roller defect frequency, Hz")
     parser.add_argument("--geometry", help="n,roller_diameter,pitch_diameter,contact_angle_rad")
+    shaft_help = "shaft speed for --geometry, Hz"
+    if sim is not None:
+        shaft_help += f"; simulated input reads it too (default {sim.shaft_hz})"
+    parser.add_argument("--shaft-hz", dest="shaft_hz", type=float, default=argparse.SUPPRESS,
+                        help=shaft_help)
     parser.add_argument("--band-fraction", type=float, default=DEFAULT_BAND_FRACTION)
 
 
@@ -275,6 +293,7 @@ def cmd_filter(args):
 
 
 def cmd_features(args):
+    args = _input_mode_args(args, "--input")
     signal = _read_signal(args.input, args.sample_rate_hz)
     faults = _fault_frequencies_from_args(args)
     vector = extract_feature_vector(signal, faults, args.band_fraction)
@@ -475,7 +494,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     _add_fault_freq_flags(p)
-    p.add_argument("--shaft-hz", type=float, default=None, help="shaft speed for --geometry")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_features)
@@ -490,8 +508,8 @@ def build_parser():
     p.add_argument("--som-grid", default="{0.grid_rows}x{0.grid_cols}".format(DEFAULT_ASSESS_SOM),
                    help="ROWSxCOLS (default %(default)s)")
     _add_field_flags(p, DEFAULT_ASSESS_SOM, "--som-epochs")
-    _add_fault_freq_flags(p)
-    _add_field_flags(p, sim, "--sample-rate", "--shaft-hz")
+    _add_fault_freq_flags(p, sim)
+    _add_field_flags(p, sim, "--sample-rate")
     _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
     _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
                           *_SIM_FIELD_FLAGS)
@@ -504,8 +522,8 @@ def build_parser():
     group.add_argument("--simulate-taxonomy", action="store_true")
     group.add_argument("--manifest", help="CSV manifest: path,label per row")
     _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts"})
-    _add_fault_freq_flags(p)
-    _add_field_flags(p, sim, "--sample-rate", "--shaft-hz")
+    _add_fault_freq_flags(p, sim)
+    _add_field_flags(p, sim, "--sample-rate")
     _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
     _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
                           "--inner-hz", "--roller-hz")

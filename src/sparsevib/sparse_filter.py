@@ -72,9 +72,12 @@ def _solver_blas_threads():
 # then spins on another core for the whole fit and every iteration
 # waits for it, so a fit slows by half or more whenever another process
 # wants that core.  The solver therefore runs with its OpenBLAS on one
-# thread; the previous count is restored when the last concurrent fit
-# returns, so MED's Cholesky keeps its threads.  Each right-hand side is
-# solved on its own, so the solver's result does not change.
+# thread; each right-hand side is solved on its own, so its result does
+# not change.  MED's Cholesky factor and solves run on one thread too:
+# a threaded factor sums in another order, so its filter would depend on
+# the core count.  Parallelism comes from running fits side by side
+# (``pipeline.fit_signals``), never from inside one.  The previous count
+# is restored when the last concurrent fit returns.
 _SOLVER_THREADS = _solver_blas_threads()
 _solver_lock = threading.Lock()
 _solver_fits = 0  # fits inside the solver
@@ -83,7 +86,7 @@ _solver_restore = None  # thread count before the first of them entered
 
 @contextlib.contextmanager
 def _serial_solver():
-    """Run the enclosed L-BFGS-B solve with the solver's OpenBLAS on one thread."""
+    """Run the enclosed L-BFGS-B solve or MED Cholesky with scipy's OpenBLAS on one thread."""
     global _solver_fits, _solver_restore
     if _SOLVER_THREADS is None:
         yield
@@ -291,27 +294,28 @@ def fit_simplified_csf(signal, config=None):
 
 
 def _autocorrelation_matrix(y, l):
-    """Normal-equation matrix ``A[j,k] = sum_i y[i+j] y[i+k]`` over valid windows.
+    """Lower triangle of ``A[j,k] = sum_i y[i+j] y[i+k]`` over valid windows.
 
     ``A`` is the autocorrelation (Gram) matrix of the Hankel system; each
     diagonal is a windowed lag product, filled by a running update so the
-    build costs O(l^2 + N log N) instead of a dense matmul.
+    build costs O(l^2 + N log N) instead of a dense matmul.  Each diagonal
+    is written once, into the lower triangle; the strict upper triangle
+    stays zero.  ``A.T`` is then Fortran-ordered with ``A`` in its upper
+    triangle, which LAPACK can factor in place.
     """
     n = y.size
     m = n - l + 1
     base = _correlate_valid(y, y[:m])  # base[d] = sum_i y[i] y[i+d]
-    a = np.empty((l, l))
-    idx_cache = np.arange(l)
+    a = np.zeros((l, l))  # zeros, not empty: cho_factor checks every entry is finite
+    flat = a.reshape(-1)
     for d in range(l):
         steps = l - 1 - d
-        diag = np.empty(l - d)
+        diag = flat[d * l : l * l : l + 1]  # diag[t] is a[d + t, t]
         diag[0] = base[d]
         if steps:
             update = y[m : m + steps] * y[m + d : m + d + steps] - y[:steps] * y[d : d + steps]
-            diag[1:] = base[d] + np.cumsum(update)
-        idx = idx_cache[: l - d]
-        a[idx, idx + d] = diag
-        a[idx + d, idx] = diag
+            np.cumsum(update, out=diag[1:])
+            diag[1:] += base[d]
     return a
 
 
@@ -339,11 +343,8 @@ def fit_med(signal, config=None):
 
     a = _autocorrelation_matrix(y, l)
     # Small ridge on the diagonal guards a near-singular autocorrelation.
-    a[np.diag_indices_from(a)] += 1e-8 * np.trace(a) / l
-    try:
-        factor = cho_factor(a)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalFailureError("MED normal equations are singular") from exc
+    diag = a.reshape(-1)[:: l + 1]
+    diag += 1e-8 * diag.sum() / l
 
     w = _initial_filter(config)
     w = w / np.linalg.norm(w)
@@ -353,22 +354,30 @@ def fit_med(signal, config=None):
     converged = False
     iterations = 0
 
-    for _ in range(config.max_iterations):
-        b = _correlate_valid(y, f**3)
-        w_new = cho_solve(factor, b)
-        norm = np.linalg.norm(w_new)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise NumericalFailureError("MED iteration produced a degenerate filter")
-        w_new /= norm
+    with _serial_solver():
+        try:
+            # ``a.T`` is Fortran-ordered and holds A in its upper triangle,
+            # so LAPACK reads it where it lies and factors it in place.
+            factor = cho_factor(a.T, lower=False, overwrite_a=True)
+        except (LinAlgError, np.linalg.LinAlgError) as exc:
+            raise NumericalFailureError("MED normal equations are singular") from exc
 
-        delta = np.linalg.norm(w_new - w)
-        w = w_new
-        f = _correlate_valid(y, w)
-        history.append(-_kurtosis_raw(f))
-        iterations += 1
-        if delta < config.gradient_tolerance:
-            converged = True
-            break
+        for _ in range(config.max_iterations):
+            b = _correlate_valid(y, f**3)
+            w_new = cho_solve(factor, b)
+            norm = np.linalg.norm(w_new)
+            if not np.isfinite(norm) or norm == 0.0:
+                raise NumericalFailureError("MED iteration produced a degenerate filter")
+            w_new /= norm
+
+            delta = np.linalg.norm(w_new - w)
+            w = w_new
+            f = _correlate_valid(y, w)
+            history.append(-_kurtosis_raw(f))
+            iterations += 1
+            if delta < config.gradient_tolerance:
+                converged = True
+                break
 
     return CsfResult(
         w=w,

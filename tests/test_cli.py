@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sparsevib import CsfConfig, FaultSimConfig, pipeline
-from sparsevib.cli import _config_from_args, _som_config_from_args, build_parser, main
+from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
+                           build_parser, main)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -171,6 +172,12 @@ class TestFeatures:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["fault_frequencies_hz"]["bpfo"] == pytest.approx(30.0)
+
+    def test_geometry_without_shaft_speed_is_validation_error(self, sim_csv, tmp_path, capsys):
+        code = run(["features", "--input", str(sim_csv), "--geometry", "8,1,4,0",
+                    "-o", str(tmp_path / "f.json")])
+        assert code == 1
+        assert "--geometry needs --shaft-hz" in capsys.readouterr().err
 
     def test_mutually_exclusive_sources(self, sim_csv, tmp_path):
         code = run(["features", "--input", str(sim_csv),
@@ -528,6 +535,30 @@ class TestFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"error: {flag} is read only with simulated input" in err
+
+    @pytest.mark.parametrize("mode", [
+        ["features", "--input", "signal.csv"],
+        ["assess", "--input-dir", "run", "--channel", "0"],
+        ["classify", "--manifest", "m.csv"],
+    ])
+    def test_shaft_hz_rejected_with_file_input_and_no_geometry(self, mode, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(mode + ["--shaft-hz", "25", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                        "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: --shaft-hz is read with {mode[1]} only together with --geometry" in err
+
+    def test_simulated_input_reads_shaft_hz(self):
+        parser = build_parser()
+        for argv in (["assess", "--simulate-degradation", "-o", "mqe.csv"],
+                     ["classify", "--simulate-taxonomy", "-o", "out"]):
+            args = parser.parse_args(argv + ["--shaft-hz", "25", "--bpfo", "100",
+                                             "--bpfi", "160", "--bsf", "70"])
+            args = _input_mode_args(args, None)
+            assert _config_from_args(FaultSimConfig, args).shaft_hz == 25.0
+            args = _input_mode_args(parser.parse_args(argv), None)
+            assert args.shaft_hz == FaultSimConfig().shaft_hz
 
     def test_benchmark_command_lines_run(self, tmp_path):
         workloads = _perfbench_workloads()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,22 +212,49 @@ class TestFitMed:
         assert result.cost_history[0] < 0
         assert len(result.cost_history) == result.iterations + 1
 
+    def test_factors_the_normal_equations_in_place(self):
+        sig = gaussian_with_outlier(4096, 8.0, seed=0)
+        l = 2048
+        tracemalloc.start()
+        try:
+            fit_med(sig, CsfConfig(filter_length=l))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One l x l matrix; a copy for the factor would double it.
+        assert peak < 1.5 * l * l * 8
 
-# One IMS-length snapshot, fitted and described in a fresh interpreter, so
-# that OPENBLAS_NUM_THREADS takes effect before numpy loads OpenBLAS.
+
+@pytest.mark.parametrize("n, l", [(64, 2), (64, 32), (101, 2), (101, 50)])
+def test_autocorrelation_matrix_is_the_lower_gram_matrix(n, l):
+    y = np.random.default_rng(n + l).standard_normal(n)
+    a = sparse_filter._autocorrelation_matrix(y, l)
+    windows = np.lib.stride_tricks.sliding_window_view(y, l)
+    gram = windows.T @ windows
+    lower = np.tril_indices(l)
+    assert np.allclose(a[lower], gram[lower], rtol=1e-12, atol=1e-12 * np.trace(gram))
+    assert not np.any(np.triu(a, k=1))
+
+
+# One IMS-length snapshot, fitted and described, and one MED fit at l = N/2,
+# in a fresh interpreter, so that OPENBLAS_NUM_THREADS takes effect before
+# numpy and scipy load OpenBLAS.
 FIT_AND_FEATURES = """
 import sys
 import numpy as np
 from sparsevib import (CsfConfig, FaultFrequencies, FaultSimConfig, Signal,
-                       extract_feature_vector, fit_simplified_csf, simulate_bearing_fault)
+                       extract_feature_vector, fit_med, fit_simplified_csf,
+                       gaussian_with_outlier, simulate_bearing_fault)
 signal = simulate_bearing_fault(FaultSimConfig(fault_components=("outer",), seed=0))
 fit = fit_simplified_csf(signal, CsfConfig(filter_length=100))
+med = fit_med(gaussian_with_outlier(4096, 8.0, seed=0), CsfConfig(filter_length=2048))
 faults = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 enhanced = Signal(fit.filtered, signal.sample_rate_hz)
 np.savez(sys.argv[1], w=fit.w, filtered=fit.filtered, cost_history=fit.cost_history,
          iterations=fit.iterations,
          raw_features=extract_feature_vector(signal, faults).as_array(),
-         filtered_features=extract_feature_vector(enhanced, faults).as_array())
+         filtered_features=extract_feature_vector(enhanced, faults).as_array(),
+         **{f"med_{key}": value for key, value in vars(med).items()})
 """
 
 
@@ -242,6 +270,7 @@ def test_fit_and_features_independent_of_blas_threads(tmp_path):
         runs.append(np.load(out))
     one, two = runs
     assert one["w"].size == 100 and one["filtered"].size == 20480 - 100 + 1
+    assert one["med_w"].size == 2048 and one["med_filtered"].size == 4096 - 2048 + 1
     for key in one.files:
         assert np.array_equal(one[key], two[key]), key
 

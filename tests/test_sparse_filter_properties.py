@@ -1,13 +1,16 @@
-"""Property test: the analytic cost gradient matches central finite differences.
+"""Property tests of the sparse-filter and MED fits.
 
-Signal lengths are drawn both below and above ``_SERIAL_DOT + l``, so the
+The analytic cost gradient matches central finite differences; signal
+lengths are drawn both below and above ``_SERIAL_DOT + l``, so the
 gradient's correlation runs both as one call and summed over pieces.
+Every fit returns a finite, unit-norm filter.
 """
 
 import numpy as np
 import pytest
 
-from sparsevib import Signal, convolve_valid, csf_cost, csf_gradient
+from sparsevib import (CsfConfig, Signal, convolve_valid, csf_cost, csf_gradient, fit_med,
+                       fit_simplified_csf)
 from sparsevib.core_signal import _SERIAL_DOT
 
 from test_sparse_filter import finite_difference_gradient
@@ -45,3 +48,17 @@ def test_gradient_matches_finite_differences(shape, seed):
     cost = csf_cost(convolve_valid(signal, w), 1e-8)
     rounding = 10 * np.sqrt(n) * np.finfo(float).eps * cost / STEP
     assert np.max(np.abs(analytic - numeric)) <= 1e-4 * np.max(np.abs(numeric)) + rounding
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit=st.sampled_from([fit_simplified_csf, fit_med]),
+       l=st.integers(2, 32), extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.integers(-6, 6), n_impulses=st.integers(0, 5))
+def test_fits_return_finite_unit_norm_filters(fit, l, extra, seed, log_scale, n_impulses):
+    n = 2 * l + extra
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    y[rng.integers(0, n, n_impulses)] += rng.choice([-1.0, 1.0], n_impulses) * 20.0
+    result = fit(Signal(10.0**log_scale * y, 1.0), CsfConfig(filter_length=l))
+    assert np.all(np.isfinite(result.w))
+    assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-12)
