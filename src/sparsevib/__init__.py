@@ -51,9 +51,7 @@ from .pipeline import (
     ClassificationReport,
     assess_sequence,
     classify_dataset,
-    feature_matrix,
     filter_signal,
-    fit_signals,
     gradient_check,
     two_branch_features,
 )

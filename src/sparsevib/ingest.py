@@ -9,7 +9,6 @@ supplies it.
 """
 
 import io
-import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -37,7 +36,6 @@ class SnapshotFile:
     """One parsed snapshot: channel matrix (rows = time) plus metadata."""
 
     path: Path
-    timestamp: datetime
     channels: np.ndarray
     sample_rate_hz: float
 
@@ -137,10 +135,7 @@ def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
         warnings.warn(
             f"{path.name}: {channels.shape[0]} rows, expected {expected_rows}"
         )
-    timestamp = _parse_timestamp(path) or datetime.fromtimestamp(os.path.getmtime(path))
-    return SnapshotFile(
-        path=path, timestamp=timestamp, channels=channels, sample_rate_hz=float(sample_rate_hz)
-    )
+    return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz))
 
 
 def write_ims_file(path, channels, header=None):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_signal import Signal, convolve_valid
-from .errors import NumericalFailureError
 from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
@@ -30,8 +29,6 @@ from .sparse_filter import csf_cost, csf_gradient, fit_med, fit_simplified_csf
 
 __all__ = [
     "filter_signal",
-    "feature_matrix",
-    "fit_signals",
     "two_branch_features",
     "BranchAssessment",
     "AssessmentReport",
@@ -61,24 +58,16 @@ def filter_signal(signal, config=None, method="csf"):
     raise ValueError(f"unknown filter method {method!r}")
 
 
-def _at_snapshot(index, func, *args):
-    """``func(*args)``; an error it raises names the snapshot's 1-based ``index``."""
-    try:
-        return func(*args)
-    except (ValueError, NumericalFailureError) as exc:
-        exc.args = (f"snapshot {index}: {exc}",)
-        raise
-
-
-def feature_matrix(signals, faults, band_fraction=DEFAULT_BAND_FRACTION):
-    """Stack per-signal feature vectors into a FeatureMatrix."""
-    rows = [_at_snapshot(i, extract_feature_vector, s, faults, band_fraction).as_array()
-            for i, s in enumerate(signals, start=1)]
-    return FeatureMatrix(values=np.vstack(rows), feature_names=FEATURE_NAMES)
+def _snapshot(signal, faults, config, band_fraction):
+    """One snapshot's work: raw features, sparse-filter fit, filtered features."""
+    raw = extract_feature_vector(signal, faults, band_fraction).as_array()
+    fit = fit_simplified_csf(signal, config)
+    enhanced = Signal(fit.filtered, signal.sample_rate_hz)
+    return raw, fit, extract_feature_vector(enhanced, faults, band_fraction).as_array()
 
 
 def _claim(bounds, from_tail):
-    """Index of the next unclaimed signal at one end of ``bounds``, or None when none is left."""
+    """Index of the next unclaimed item at one end of ``bounds``, or None when none is left."""
     with bounds.get_lock():
         head, tail = bounds
         if head >= tail:
@@ -90,67 +79,55 @@ def _claim(bounds, from_tail):
         return head
 
 
-def _fit_claimed(signals, config, bounds, from_tail):
-    """Fit signals claimed one at a time from one end: ``{index: CsfResult or its error}``."""
+def _run_claimed(work, bounds, from_tail):
+    """``work(i)`` for items claimed one at a time from one end: ``{i: result or its error}``."""
     outcomes = {}
     while (i := _claim(bounds, from_tail)) is not None:
         try:
-            outcomes[i] = fit_simplified_csf(signals[i], config)
-        except Exception as exc:  # raised in input order by fit_signals
+            outcomes[i] = work(i)
+        except Exception as exc:  # raised in index order by two_branch_features
             outcomes[i] = exc
     return outcomes
 
 
-def _helper(sender, signals, config, bounds):
-    sender.send(_fit_claimed(signals, config, bounds, from_tail=False))
+def _helper(sender, work, bounds):
+    sender.send(_run_claimed(work, bounds, from_tail=False))
     sender.close()
 
 
-def _returned(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _fan_out(work, n):
+    """``work(i)`` for ``i`` in ``range(n)``: each result, or the error it raised, in index order.
 
-
-def fit_signals(signals, config=None):
-    """Sparse-filter fits of ``signals``, one ``CsfResult`` each, in input order.
-
-    The fits run on the CPUs in this process's affinity mask: ``count - 1``
-    forked helpers claim signals one at a time from the head of the list
-    while this process claims them from the tail, so fits of different
-    lengths stay balanced.  A helper claims its next signal itself, through
-    a pair of shared bounds, and sends its fits back once none is left, so
-    it never waits on this process.  A fit does not depend on the process
-    that runs it, so neither do the results.  With one CPU, or without
-    ``fork``, the fits run here in order.  When fits fail, the error of the
-    first failing signal is raised, whatever the CPU count, and its message
-    names the snapshot.
+    The items run on the CPUs in this process's affinity mask: ``count - 1``
+    forked helpers claim items one at a time from the head while this
+    process claims them from the tail, so items of different lengths stay
+    balanced.  A helper claims its next item itself, through a pair of
+    shared bounds, and sends its results back once none is left, so it never
+    waits on this process.  With one CPU, or without ``fork``, this process
+    claims every item itself.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = min(cpus, len(signals)) - 1
-    if helpers < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_at_snapshot(i, fit_simplified_csf, s, config)
-                for i, s in enumerate(signals, start=1)]
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    helpers = min(cpus, n) - 1 if can_fork else 0
     # fork, not spawn: a spawned helper would import scipy again on every call,
-    # and a forked one has the signals without their being sent.
-    context = multiprocessing.get_context("fork")
-    bounds = context.Array("l", [0, len(signals)])  # unclaimed: bounds[0] <= i < bounds[1]
+    # and a forked one has the inputs without their being sent.
+    context = multiprocessing.get_context("fork" if can_fork else None)
+    bounds = context.Array("l", [0, n])  # unclaimed: bounds[0] <= i < bounds[1]
     processes, receivers = [], []
     try:
         for _ in range(helpers):
             receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_helper, args=(sender, signals, config, bounds),
-                                      daemon=True)
+            process = context.Process(target=_helper, args=(sender, work, bounds), daemon=True)
             process.start()
             sender.close()
             processes.append(process)
             receivers.append(receiver)
-        outcomes = _fit_claimed(signals, config, bounds, from_tail=True)
+        outcomes = _run_claimed(work, bounds, from_tail=True)
         for receiver in receivers:
             try:
                 outcomes.update(receiver.recv())
             except EOFError:
-                raise RuntimeError("a fit helper exited before sending its fits") from None
+                raise RuntimeError("a helper exited before sending its results") from None
     except BaseException:
         for process in processes:
             process.terminate()
@@ -160,16 +137,29 @@ def fit_signals(signals, config=None):
             receiver.close()
         for process in processes:
             process.join()
-    return [_at_snapshot(i, _returned, outcomes[i - 1]) for i in range(1, len(signals) + 1)]
+    return [outcomes[i] for i in range(n)]
 
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
-    """Raw-branch and filtered-branch feature matrices, and the fits behind the filtered one."""
-    raw = feature_matrix(signals, faults, band_fraction)
-    fits = fit_signals(signals, csf_config)
-    enhanced = [Signal(fit.filtered, s.sample_rate_hz) for fit, s in zip(fits, signals)]
-    filtered = feature_matrix(enhanced, faults, band_fraction)
-    return raw, filtered, fits
+    """Raw-branch and filtered-branch feature matrices, and the fits behind the filtered one.
+
+    Each snapshot's features and fit run together on one CPU (see
+    ``_fan_out``); none depends on the process that runs it, so neither do
+    the results.  When snapshots fail, the error of the lowest-numbered one
+    is raised, whatever the CPU count or the stage that failed, and its
+    message names the snapshot.
+    """
+    outcomes = _fan_out(
+        lambda i: _snapshot(signals[i], faults, csf_config, band_fraction), len(signals)
+    )
+    for i, outcome in enumerate(outcomes, start=1):
+        if isinstance(outcome, Exception):
+            outcome.args = (f"snapshot {i}: {outcome}",)
+            raise outcome
+    raw, fits, filtered = zip(*outcomes)
+    return (FeatureMatrix(values=np.vstack(raw), feature_names=FEATURE_NAMES),
+            FeatureMatrix(values=np.vstack(filtered), feature_names=FEATURE_NAMES),
+            list(fits))
 
 
 @dataclass
@@ -230,11 +220,9 @@ def assess_sequence(
 
 @dataclass
 class BranchClassification:
-    features: FeatureMatrix
     scores: np.ndarray
     explained_variance_fractions: np.ndarray
     kmeans_labels: np.ndarray
-    inertia: float
     purity: float
     vat: VatResult
 
@@ -256,11 +244,9 @@ def _classify_branch(matrix, labels, k, n_restarts, seed):
     )
     np.fill_diagonal(distances, 0.0)
     return BranchClassification(
-        features=matrix,
         scores=pca.scores,
         explained_variance_fractions=pca.explained_variance_fractions,
         kmeans_labels=km.labels,
-        inertia=km.inertia,
         purity=purity,
         vat=vat_order(distances),
     )

@@ -75,9 +75,9 @@ def _solver_blas_threads():
 # thread; each right-hand side is solved on its own, so its result does
 # not change.  MED's Cholesky factor and solves run on one thread too:
 # a threaded factor sums in another order, so its filter would depend on
-# the core count.  Parallelism comes from running fits side by side
-# (``pipeline.fit_signals``), never from inside one.  The previous count
-# is restored when the last concurrent fit returns.
+# the core count.  Parallelism comes from running snapshots side by
+# side (``pipeline.two_branch_features``), never from inside one fit.
+# The previous count is restored when the last concurrent fit returns.
 _SOLVER_THREADS = _solver_blas_threads()
 _solver_lock = threading.Lock()
 _solver_fits = 0  # fits inside the solver

@@ -24,7 +24,6 @@ class TestReadImsFile:
         assert snapshot.channels.shape == (20480, 4)
         assert snapshot.n_channels == 4
         assert np.array_equal(snapshot.channels, matrix)
-        assert snapshot.timestamp.year == 2004
         assert snapshot.sample_rate_hz == 20000.0
 
     def test_round_trip_lossless(self, tmp_path):

@@ -10,9 +10,10 @@ from sparsevib import (
     CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
+    Signal,
     assess_sequence,
     classify_dataset,
-    feature_matrix,
+    extract_feature_vector,
     filter_signal,
     fit_med,
     fit_simplified_csf,
@@ -22,7 +23,6 @@ from sparsevib import (
     two_branch_features,
 )
 from sparsevib import pipeline
-from sparsevib.pipeline import fit_signals
 from sparsevib.simulate import LabeledDataset
 
 FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
@@ -52,27 +52,37 @@ class TestFeatureMatrices:
         assert raw.feature_names == ("kurtosis", "l1_l2", "blehnr_bpfo",
                                      "blehnr_bpfi", "blehnr_bsf")
 
-    def test_feature_matrix_single(self):
-        signals = [simulate_bearing_fault(FAST_SIM)]
-        fm = feature_matrix(signals, FAULTS)
-        assert fm.values.shape == (1, 5)
-
 
 def fake_affinity(monkeypatch, n_cpus):
-    """Make ``fit_signals`` see ``n_cpus`` CPUs in the affinity mask, whatever the host has."""
+    """Make ``two_branch_features`` see ``n_cpus`` CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
 
 
+def serial_snapshots(signals, config):
+    """Raw features, fits and filtered features of ``signals``, one snapshot after another."""
+    raw, fits, filtered = [], [], []
+    for s in signals:
+        raw.append(extract_feature_vector(s, FAULTS).as_array())
+        fits.append(fit_simplified_csf(s, config))
+        enhanced = Signal(fits[-1].filtered, s.sample_rate_hz)
+        filtered.append(extract_feature_vector(enhanced, FAULTS).as_array())
+    return np.vstack(raw), fits, np.vstack(filtered)
+
+
 class TestFitSignals:
+    """Each snapshot's features and fit, fanned out over the CPUs by ``two_branch_features``."""
+
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     def test_matches_the_serial_loop_bit_for_bit(self, monkeypatch, n_cpus):
         # Mixed lengths, so the helpers and the caller finish at different times.
         signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=n, snr_db=-3.0, seed=s))
                    for s, n in enumerate([8192, 20480, 8192, 8192, 20480, 8192])]
         config = CsfConfig(filter_length=100)
-        expected = [fit_simplified_csf(s, config) for s in signals]
+        want_raw, expected, want_filtered = serial_snapshots(signals, config)
         fake_affinity(monkeypatch, n_cpus)
-        results = fit_signals(signals, config)
+        raw, filtered, results = two_branch_features(signals, FAULTS, config)
+        assert np.array_equal(raw.values, want_raw)
+        assert np.array_equal(filtered.values, want_filtered)
         assert len(results) == len(expected)
         for got, want in zip(results, expected):
             for name in ("w", "filtered", "cost_history"):
@@ -90,18 +100,31 @@ class TestFitSignals:
         monkeypatch.setattr(pipeline, "fit_simplified_csf", recorded_fit)
         fake_affinity(monkeypatch, 2)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        fit_signals(signals, FAST_CSF)
+        two_branch_features(signals, FAULTS, FAST_CSF)
         assert 1 <= len(fitted) < len(signals)
         assert fitted[0] == signals[-1].samples[0]
+
+    def test_the_caller_extracts_only_its_share_of_the_features(self, monkeypatch):
+        calls, extract = [], pipeline.extract_feature_vector
+
+        def counted_extract(*args):
+            calls.append(1)  # only calls in this process are seen
+            return extract(*args)
+
+        monkeypatch.setattr(pipeline, "extract_feature_vector", counted_extract)
+        fake_affinity(monkeypatch, 2)
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
+        two_branch_features(signals, FAULTS, FAST_CSF)
+        assert 2 <= len(calls) < 2 * len(signals)
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_the_first_failing_signal_is_reported(self, monkeypatch, n_cpus):
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        for k in (2, 5):  # the tail-first caller meets index 5 first
-            signals[k] = replace(signals[k], samples=signals[k].samples[:60])
-        fake_affinity(monkeypatch, n_cpus)
-        with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 50 exceeds N/2"):
-            fit_signals(signals, FAST_CSF)
+        signals[2] = replace(signals[2], samples=signals[2].samples[:300])  # only its fit fails
+        signals[5] = replace(signals[5], samples=np.full(4096, 0.25))  # features fail
+        fake_affinity(monkeypatch, n_cpus)  # the tail-first caller meets index 5 first
+        with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 200 exceeds N/2"):
+            two_branch_features(signals, FAULTS, CsfConfig(filter_length=200))
 
     def test_more_workers_than_cores_fit_each_signal_once(self, monkeypatch):
         fits, fit = multiprocessing.Value("i", 0), pipeline.fit_simplified_csf
@@ -114,17 +137,19 @@ class TestFitSignals:
         signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=1024, seed=s))
                    for s in range(60)]
         config = CsfConfig(filter_length=16, max_iterations=5)
-        expected = [fit(s, config) for s in signals]
+        want_raw, expected, want_filtered = serial_snapshots(signals, config)
         monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
         fake_affinity(monkeypatch, 6)
-        results = fit_signals(signals, config)
+        raw, filtered, results = two_branch_features(signals, FAULTS, config)
         assert fits.value == len(signals)
         assert all(np.array_equal(got.w, want.w) for got, want in zip(results, expected))
+        assert np.array_equal(raw.values, want_raw)
+        assert np.array_equal(filtered.values, want_filtered)
 
     def test_no_helper_outlives_the_call(self, monkeypatch):
         fake_affinity(monkeypatch, 3)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        fit_signals(signals, FAST_CSF)
+        two_branch_features(signals, FAULTS, FAST_CSF)
         assert multiprocessing.active_children() == []
 
     def test_a_helper_that_dies_is_reported(self, monkeypatch):
@@ -140,7 +165,7 @@ class TestFitSignals:
         fake_affinity(monkeypatch, 2)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
         with pytest.raises(RuntimeError, match="helper exited"):
-            fit_signals(signals, FAST_CSF)
+            two_branch_features(signals, FAULTS, FAST_CSF)
         assert multiprocessing.active_children() == []
 
 
