@@ -80,13 +80,19 @@ def _claim(bounds, from_tail):
 
 
 def _run_claimed(work, bounds, from_tail):
-    """``work(i)`` for items claimed one at a time from one end: ``{i: result or its error}``."""
+    """``work(i)`` for items claimed one at a time from one end: ``{i: result or its error}``.
+
+    An item that fails lowers the tail bound to its index: only the
+    lowest-numbered error is raised, so no item above it is worth claiming.
+    """
     outcomes = {}
     while (i := _claim(bounds, from_tail)) is not None:
         try:
             outcomes[i] = work(i)
         except Exception as exc:  # raised in index order by two_branch_features
             outcomes[i] = exc
+            with bounds.get_lock():
+                bounds[1] = min(bounds[1], i)
     return outcomes
 
 
@@ -98,13 +104,15 @@ def _helper(sender, work, bounds):
 def _fan_out(work, n):
     """``work(i)`` for ``i`` in ``range(n)``: each result, or the error it raised, in index order.
 
-    The items run on the CPUs in this process's affinity mask: ``count - 1``
-    forked helpers claim items one at a time from the head while this
-    process claims them from the tail, so items of different lengths stay
-    balanced.  A helper claims its next item itself, through a pair of
-    shared bounds, and sends its results back once none is left, so it never
-    waits on this process.  With one CPU, or without ``fork``, this process
-    claims every item itself.
+    Every item below the lowest-numbered failure runs; an item above it may
+    not, and is then None.  The items run on the CPUs in this process's
+    affinity mask: ``count - 1`` forked helpers claim items one at a time
+    from the head while this process claims them from the tail, so items
+    of different lengths stay balanced.  A helper claims its next item
+    itself, through a pair of shared bounds, and sends its results back once
+    none is left, so it never waits on this process.  With one CPU, or
+    without ``fork``, this process claims every item itself, from the head,
+    so that it meets the lowest-numbered failure first.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = "fork" in multiprocessing.get_all_start_methods()
@@ -122,7 +130,7 @@ def _fan_out(work, n):
             sender.close()
             processes.append(process)
             receivers.append(receiver)
-        outcomes = _run_claimed(work, bounds, from_tail=True)
+        outcomes = _run_claimed(work, bounds, from_tail=helpers > 0)
         for receiver in receivers:
             try:
                 outcomes.update(receiver.recv())
@@ -137,7 +145,7 @@ def _fan_out(work, n):
             receiver.close()
         for process in processes:
             process.join()
-    return [outcomes[i] for i in range(n)]
+    return [outcomes.get(i) for i in range(n)]
 
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):

@@ -16,11 +16,12 @@ comparison baseline.
 
 import contextlib
 import ctypes
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .core_signal import _correlate_valid, _dot, _validated_filter
@@ -73,10 +74,11 @@ def _solver_blas_threads():
 # waits for it, so a fit slows by half or more whenever another process
 # wants that core.  The solver therefore runs with its OpenBLAS on one
 # thread; each right-hand side is solved on its own, so its result does
-# not change.  MED's Cholesky factor and solves run on one thread too:
-# a threaded factor sums in another order, so its filter would depend on
-# the core count.  Parallelism comes from running snapshots side by
-# side (``pipeline.two_branch_features``), never from inside one fit.
+# not change.  MED's solves run on one thread too: a threaded solve sums
+# in another order, so its filter would depend on the core count (its
+# factor, from ``_gram_factor``, uses no BLAS at all).  Parallelism comes
+# from running snapshots side by side (``pipeline.two_branch_features``),
+# never from inside one fit.
 # The previous count is restored when the last concurrent fit returns.
 _SOLVER_THREADS = _solver_blas_threads()
 _solver_lock = threading.Lock()
@@ -86,7 +88,7 @@ _solver_restore = None  # thread count before the first of them entered
 
 @contextlib.contextmanager
 def _serial_solver():
-    """Run the enclosed L-BFGS-B solve or MED Cholesky with scipy's OpenBLAS on one thread."""
+    """Run the enclosed L-BFGS-B solve or MED solves with scipy's OpenBLAS on one thread."""
     global _solver_fits, _solver_restore
     if _SOLVER_THREADS is None:
         yield
@@ -293,30 +295,59 @@ def fit_simplified_csf(signal, config=None):
     )
 
 
-def _autocorrelation_matrix(y, l):
-    """Lower triangle of ``A[j,k] = sum_i y[i+j] y[i+k]`` over valid windows.
+def _rotate(a, b):
+    """Givens rotation of the column pair ``(a, b)`` that zeroes ``b``'s top entry."""
+    r = math.hypot(a[0], b[0])
+    if r == 0.0:
+        return a, b
+    cos, sin = a[0] / r, b[0] / r
+    return cos * a + sin * b, cos * b - sin * a
 
-    ``A`` is the autocorrelation (Gram) matrix of the Hankel system; each
-    diagonal is a windowed lag product, filled by a running update so the
-    build costs O(l^2 + N log N) instead of a dense matmul.  Each diagonal
-    is written once, into the lower triangle; the strict upper triangle
-    stays zero.  ``A.T`` is then Fortran-ordered with ``A`` in its upper
-    triangle, which LAPACK can factor in place.
+
+def _gram_factor(y, l):
+    """Lower Cholesky factor of MED's ridged normal-equation matrix.
+
+    The matrix is ``A = Y^T Y + delta I``, with ``A[j,k] = sum_i y[i+j] y[i+k]``
+    over the ``m = N - l + 1`` valid windows and ``delta`` a small ridge
+    that guards a near-singular ``A``.  Since
+    ``A[j+1,k+1] = A[j,k] - y[j] y[k] + y[m+j] y[m+k]``, shifting ``A`` one
+    step down its diagonal leaves four rank-one terms,
+    ``A - Z A Z^T = u u^T + p p^T - v v^T - q q^T`` (``Z`` the down-shift),
+    so the generalized Schur algorithm (Kailath & Sayed, SIAM Review 37(3),
+    1995) yields the factor from these four generator columns one column
+    at a time, in O(l^2), without forming ``A``.  Each step rotates the
+    generator until only ``u`` has a top entry (a Givens rotation within
+    each sign, then a hyperbolic rotation in mixed form, which keeps it
+    stable); ``u`` is then the next column of the factor.  Only elementwise
+    numpy and scalar arithmetic are used, so no BLAS thread count can
+    change the factor.
     """
-    n = y.size
-    m = n - l + 1
-    base = _correlate_valid(y, y[:m])  # base[d] = sum_i y[i] y[i+d]
-    a = np.zeros((l, l))  # zeros, not empty: cho_factor checks every entry is finite
-    flat = a.reshape(-1)
-    for d in range(l):
-        steps = l - 1 - d
-        diag = flat[d * l : l * l : l + 1]  # diag[t] is a[d + t, t]
-        diag[0] = base[d]
-        if steps:
-            update = y[m : m + steps] * y[m + d : m + d + steps] - y[:steps] * y[d : d + steps]
-            np.cumsum(update, out=diag[1:])
-            diag[1:] += base[d]
-    return a
+    m = y.size - l + 1
+    energy = np.concatenate(([0.0], np.cumsum(y * y)))
+    trace = energy[m:].sum() - energy[:l].sum()  # sum of the l window energies
+    c = _correlate_valid(y, y[:m])  # c[d] = A[d, 0] without the ridge
+    c[0] += 1e-8 * trace / l
+    if not c[0] > 0.0:
+        raise NumericalFailureError("MED normal equations are singular")
+    u = c / math.sqrt(c[0])  # u u^T - v v^T: the first row and column of A
+    v = u.copy()
+    v[0] = 0.0
+    p = np.concatenate(([0.0], y[m : m + l - 1]))  # samples the windows gain one step down
+    q = np.concatenate(([0.0], y[: l - 1]))  # and the samples they lose
+
+    factor = np.zeros((l, l), order="F")
+    for k in range(l):
+        u, p = _rotate(u, p)
+        v, q = _rotate(v, q)
+        if not abs(v[0]) < u[0]:  # |rho| < 1, or A is not positive definite
+            raise NumericalFailureError("MED normal equations are singular")
+        rho = v[0] / u[0]
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        u = (u - rho * v) / s
+        v = s * v - rho * u
+        factor[k:, k] = u if u[0] > 0.0 else -u
+        u, p, v, q = u[:-1], p[1:], v[1:], q[1:]
+    return factor
 
 
 def _kurtosis_raw(f):
@@ -341,10 +372,9 @@ def fit_med(signal, config=None):
     y = _check_fit_inputs(signal, config)
     l = config.filter_length
 
-    a = _autocorrelation_matrix(y, l)
-    # Small ridge on the diagonal guards a near-singular autocorrelation.
-    diag = a.reshape(-1)[:: l + 1]
-    diag += 1e-8 * diag.sum() / l
+    factor = _gram_factor(y, l)
+    if not np.isfinite(factor).all():  # checked once here, not by every solve
+        raise NumericalFailureError("MED normal equations are not finite")
 
     w = _initial_filter(config)
     w = w / np.linalg.norm(w)
@@ -355,16 +385,9 @@ def fit_med(signal, config=None):
     iterations = 0
 
     with _serial_solver():
-        try:
-            # ``a.T`` is Fortran-ordered and holds A in its upper triangle,
-            # so LAPACK reads it where it lies and factors it in place.
-            factor = cho_factor(a.T, lower=False, overwrite_a=True)
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
-            raise NumericalFailureError("MED normal equations are singular") from exc
-
         for _ in range(config.max_iterations):
             b = _correlate_valid(y, f**3)
-            w_new = cho_solve(factor, b)
+            w_new = cho_solve((factor, True), b, check_finite=False)
             norm = np.linalg.norm(w_new)
             if not np.isfinite(norm) or norm == 0.0:
                 raise NumericalFailureError("MED iteration produced a degenerate filter")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevib import CsfConfig, FaultSimConfig, pipeline
+from sparsevib import CsfConfig, FaultSimConfig, gaussian_with_outlier, pipeline
 from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
                            build_parser, main)
 
@@ -112,6 +112,16 @@ class TestFilter:
         report = json.loads((tmp_path / "med.csv.json").read_text())
         jsonschema.validate(report, load_schema("report_filter.schema.json"))
         assert report["method"] == "med"
+
+    def test_med_overflow_is_named(self, tmp_path, capsys):
+        samples = gaussian_with_outlier(4096, 8.0, seed=0).samples * 1e150
+        record = tmp_path / "huge.csv"
+        record.write_text("sample\n" + "\n".join(map(repr, samples.tolist())) + "\n")
+        code = run(["filter", "--input", str(record), "--sample-rate", "20000",
+                    "--method", "med", "--filter-length", "64",
+                    "-o", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "MED" in capsys.readouterr().err
 
     def test_sample_rate_from_sidecar(self, sim_csv, tmp_path):
         # no --sample-rate flag: the simulate sidecar supplies it

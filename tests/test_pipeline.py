@@ -8,6 +8,7 @@ import pytest
 
 from sparsevib import (
     CsfConfig,
+    DegenerateInputError,
     FaultFrequencies,
     FaultSimConfig,
     Signal,
@@ -122,9 +123,21 @@ class TestFitSignals:
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
         signals[2] = replace(signals[2], samples=signals[2].samples[:300])  # only its fit fails
         signals[5] = replace(signals[5], samples=np.full(4096, 0.25))  # features fail
-        fake_affinity(monkeypatch, n_cpus)  # the tail-first caller meets index 5 first
+        fake_affinity(monkeypatch, n_cpus)  # a tail-first caller meets index 5 first
         with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 200 exceeds N/2"):
             two_branch_features(signals, FAULTS, CsfConfig(filter_length=200))
+
+    def test_no_snapshot_above_a_failure_runs(self, monkeypatch):
+        extracts, fits, extract = [], [], pipeline.extract_feature_vector
+        monkeypatch.setattr(pipeline, "extract_feature_vector",
+                            lambda *args: extracts.append(1) or extract(*args))
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", lambda *args: fits.append(1))
+        fake_affinity(monkeypatch, 1)
+        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(12)]
+        signals[0] = replace(signals[0], samples=np.full(4096, 0.25))
+        with pytest.raises(DegenerateInputError, match=r"^snapshot 1: "):
+            two_branch_features(signals, FAULTS, FAST_CSF)
+        assert (len(extracts), len(fits)) == (1, 0)
 
     def test_more_workers_than_cores_fit_each_signal_once(self, monkeypatch):
         fits, fit = multiprocessing.Value("i", 0), pipeline.fit_simplified_csf

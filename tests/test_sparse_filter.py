@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 import sparsevib
@@ -224,16 +225,50 @@ class TestFitMed:
         # One l x l matrix; a copy for the factor would double it.
         assert peak < 1.5 * l * l * 8
 
+    def test_matches_a_dense_cholesky_reference(self):
+        sig = gaussian_with_outlier(4096, 8.0, seed=0)
+        config = CsfConfig(filter_length=1024)
+        y, l = sig.samples, config.filter_length
+        windows = np.lib.stride_tricks.sliding_window_view(y, l)
+        gram = windows.T @ windows
+        gram[np.diag_indices(l)] += 1e-8 * np.trace(gram) / l
+        factor = cho_factor(gram)
+        w = np.zeros(l)
+        w[(l + 1) // 2 - 1] = 1.0
+        iterations = 0
+        for _ in range(config.max_iterations):
+            w_new = cho_solve(factor, windows.T @ (windows @ w) ** 3)
+            w_new /= np.linalg.norm(w_new)
+            delta = np.linalg.norm(w_new - w)
+            w, iterations = w_new, iterations + 1
+            if delta < config.gradient_tolerance:
+                break
+        result = fit_med(sig, config)
+        assert result.iterations == iterations
+        assert np.max(np.abs(result.w - w)) < 1e-8
 
-@pytest.mark.parametrize("n, l", [(64, 2), (64, 32), (101, 2), (101, 50)])
-def test_autocorrelation_matrix_is_the_lower_gram_matrix(n, l):
+    def test_rank_deficient_hankel_matrix_gives_a_finite_filter(self):
+        # The Hankel matrix of a pure sinusoid has rank 2: only the ridge
+        # keeps the normal equations from being singular.
+        t = np.arange(8192) / 20000.0
+        result = fit_med(Signal(np.sin(2 * np.pi * 300.0 * t), 20000.0),
+                         CsfConfig(filter_length=64))
+        assert np.all(np.isfinite(result.w))
+        assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, l", [(64, 2), (64, 32), (101, 2), (101, 50), (4096, 2048)])
+def test_gram_factor_is_the_cholesky_factor_of_the_ridged_gram_matrix(n, l):
     y = np.random.default_rng(n + l).standard_normal(n)
-    a = sparse_filter._autocorrelation_matrix(y, l)
+    factor = sparse_filter._gram_factor(y, l)
     windows = np.lib.stride_tricks.sliding_window_view(y, l)
     gram = windows.T @ windows
-    lower = np.tril_indices(l)
-    assert np.allclose(a[lower], gram[lower], rtol=1e-12, atol=1e-12 * np.trace(gram))
-    assert not np.any(np.triu(a, k=1))
+    trace = np.trace(gram)
+    gram[np.diag_indices(l)] += 1e-8 * trace / l
+    assert np.allclose(factor @ factor.T, gram, rtol=0, atol=1e-12 * trace)
+    assert factor.flags.f_contiguous
+    assert np.all(np.diag(factor) > 0)
+    assert not np.any(np.triu(factor, k=1))
 
 
 # One IMS-length snapshot, fitted and described, and one MED fit at l = N/2,
