@@ -64,11 +64,18 @@ def _out_path(path_str):
     return path
 
 
-def _write_sidecar(path, payload):
-    sidecar = Path(str(path) + ".json")
-    with open(sidecar, "w") as fh:
+def _write_json(path, payload):
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    return sidecar
+
+
+def _write_sidecar(path, payload):
+    _write_json(Path(str(path) + ".json"), payload)
+
+
+def _fault_block(faults):
+    """The ``fault_frequencies_hz`` block of a report."""
+    return {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz, "bsf": faults.bsf_hz}
 
 
 def _sidecar_sample_rate(path):
@@ -97,7 +104,7 @@ def _read_signal(path, sample_rate_hz):
         raise ValueError(
             f"{Path(path).name}: sample rate unknown; pass --sample-rate or provide a sidecar"
         )
-    return read_ims_file(path, sample_rate_hz, expected_rows=None).channel_signal(0)
+    return read_ims_file(path, sample_rate_hz).channel_signal(0)
 
 
 def _json_dict(items):
@@ -300,16 +307,13 @@ def cmd_features(args):
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
     payload = {
         "kind": "features",
-        "fault_frequencies_hz": {
-            "bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz, "bsf": faults.bsf_hz,
-        },
+        "fault_frequencies_hz": _fault_block(faults),
         "band_fraction": args.band_fraction,
         "features": values,
     }
     out = _out_path(args.output)
     if args.format == "json":
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(out, payload)
     else:
         with open(out, "w") as fh:
             fh.write(",".join(FEATURE_NAMES) + "\n")
@@ -334,9 +338,7 @@ def cmd_assess(args):
     if args.input_dir:
         if args.channel is None:
             raise ValueError("--channel is required with --input-dir")
-        sequence = iterate_run_to_failure(
-            args.input_dir, args.channel, args.sample_rate_hz, expected_rows=None
-        )
+        sequence = iterate_run_to_failure(args.input_dir, args.channel, args.sample_rate_hz)
         signals = sequence.signals
         source = {"input_dir": str(args.input_dir), "channel": args.channel,
                   "parse_errors": sequence.errors}
@@ -361,8 +363,7 @@ def cmd_assess(args):
         "seed": args.seed,
         "n_train": report.n_train,
         "band_fraction": args.band_fraction,
-        "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
-                                 "bsf": faults.bsf_hz},
+        "fault_frequencies_hz": _fault_block(faults),
         "csf_config": asdict(csf_config),
         "som": asdict(som_config),
         "raw": {"threshold": report.raw.threshold, "alarm_index": report.raw.alarm_index},
@@ -392,7 +393,7 @@ def _read_manifest(path, sample_rate):
         except ValueError:
             raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
                                    line=line_no) from None
-        snapshot = read_ims_file(path.parent / file_path, sample_rate, expected_rows=None)
+        snapshot = read_ims_file(path.parent / file_path, sample_rate)
         signals.append(snapshot.channel_signal(0))
         labels.append(label)
     if not signals:
@@ -432,8 +433,7 @@ def cmd_classify(args):
         "source": source,
         "seed": args.seed,
         "band_fraction": args.band_fraction,
-        "fault_frequencies_hz": {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz,
-                                 "bsf": faults.bsf_hz},
+        "fault_frequencies_hz": _fault_block(faults),
         "csf_config": asdict(csf_config),
         "kmeans_restarts": args.n_restarts,
         "raw": {"purity": report.raw.purity,
@@ -445,8 +445,7 @@ def cmd_classify(args):
         "labels": report.labels,
         "filter_fits": _fit_summary(report.fits),
     }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(outdir / "report.json", payload)
     print(f"purity raw={report.raw.purity:.3f} filtered={report.filtered.purity:.3f}")
     print(f"wrote {outdir}/scores_*.csv, vat_*.csv, report.json")
     return EXIT_OK

@@ -74,11 +74,9 @@ class Spectrum:
         if np.any(self.magnitudes < 0):
             raise ValueError("magnitudes must be nonnegative")
 
-    def peak_frequency(self, exclude_dc=True):
-        """Frequency of the largest magnitude bin (DC excluded by default)."""
-        mags = self.magnitudes
-        start = 1 if exclude_dc else 0
-        return float(self.frequencies_hz[start + int(np.argmax(mags[start:]))])
+    def peak_frequency(self):
+        """Frequency of the largest magnitude bin above DC."""
+        return float(self.frequencies_hz[1 + int(np.argmax(self.magnitudes[1:]))])
 
 
 # Above this many multiply-adds the FFT route wins; below it the direct

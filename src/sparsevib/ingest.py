@@ -27,7 +27,6 @@ __all__ = [
     "RunToFailureSequence",
 ]
 
-IMS_EXPECTED_ROWS = 20480
 TIMESTAMP_FORMAT = "%Y.%m.%d.%H.%M.%S"
 
 
@@ -104,15 +103,14 @@ def _raise_at_bad_line(path):
             )
 
 
-def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
+def read_ims_file(path, sample_rate_hz):
     """Parse a tab-separated all-numeric snapshot file.
 
     Line 1 is taken as a header and skipped when its first field is not a
-    number; blank and whitespace-only lines are skipped.  A row count
-    different from ``expected_rows`` only produces a warning (real
-    datasets contain truncated files); a non-numeric token or a ragged row
-    raises :class:`SignalParseError` carrying the offending 1-based line
-    number.
+    number; blank and whitespace-only lines are skipped.  Any row count is
+    accepted (real datasets contain truncated files).  A non-numeric token
+    or a ragged row raises :class:`SignalParseError` carrying the offending
+    1-based line number.
     """
     path = Path(path)
     try:
@@ -131,10 +129,6 @@ def read_ims_file(path, sample_rate_hz, expected_rows=IMS_EXPECTED_ROWS):
         raise SignalParseError(f"{path.name}: {exc}") from None
     if channels.size == 0:
         raise SignalParseError(f"{path.name}: file contains no samples")
-    if expected_rows and channels.shape[0] != expected_rows:
-        warnings.warn(
-            f"{path.name}: {channels.shape[0]} rows, expected {expected_rows}"
-        )
     return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz))
 
 
@@ -165,12 +159,7 @@ class RunToFailureSequence:
         return len(self.signals)
 
 
-def iterate_run_to_failure(
-    directory,
-    channel,
-    sample_rate_hz,
-    expected_rows=IMS_EXPECTED_ROWS,
-):
+def iterate_run_to_failure(directory, channel, sample_rate_hz):
     """Read every snapshot in a directory in filename-timestamp order.
 
     Files whose names do not parse as timestamps, or whose contents fail
@@ -195,7 +184,7 @@ def iterate_run_to_failure(
     signals, paths, n_parsed = [], [], 0
     for _, path in stamped:
         try:
-            snapshot = read_ims_file(path, sample_rate_hz, expected_rows)
+            snapshot = read_ims_file(path, sample_rate_hz)
             n_parsed += 1
             signals.append(snapshot.channel_signal(channel))
             paths.append(path)

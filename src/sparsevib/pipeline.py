@@ -58,61 +58,60 @@ def filter_signal(signal, config=None, method="csf"):
     raise ValueError(f"unknown filter method {method!r}")
 
 
-def _snapshot(signal, faults, config, band_fraction):
-    """One snapshot's work: raw features, sparse-filter fit, filtered features."""
-    raw = extract_feature_vector(signal, faults, band_fraction).as_array()
-    fit = fit_simplified_csf(signal, config)
-    enhanced = Signal(fit.filtered, signal.sample_rate_hz)
-    return raw, fit, extract_feature_vector(enhanced, faults, band_fraction).as_array()
+def _snapshot(signals, i, faults, config, band_fraction):
+    """Snapshot ``i``'s raw features, fit and filtered features; an error names the snapshot."""
+    signal = signals[i]
+    try:
+        raw = extract_feature_vector(signal, faults, band_fraction).as_array()
+        fit = fit_simplified_csf(signal, config)
+        enhanced = Signal(fit.filtered, signal.sample_rate_hz)
+        return raw, fit, extract_feature_vector(enhanced, faults, band_fraction).as_array()
+    except Exception as exc:
+        exc.args = (f"snapshot {i + 1}: {exc}",)
+        raise
 
 
-def _claim(bounds, from_tail):
-    """Index of the next unclaimed item at one end of ``bounds``, or None when none is left."""
-    with bounds.get_lock():
-        head, tail = bounds
-        if head >= tail:
+def _claim(counter, n):
+    """Index of the next unclaimed item, or None when none is left."""
+    with counter.get_lock():
+        i = counter.value
+        if i >= n:
             return None
-        if from_tail:
-            bounds[1] = tail - 1
-            return tail - 1
-        bounds[0] = head + 1
-        return head
+        counter.value = i + 1
+        return i
 
 
-def _run_claimed(work, bounds, from_tail):
-    """``work(i)`` for items claimed one at a time from one end: ``{i: result or its error}``.
+def _run_claimed(work, counter, n):
+    """``work(i)`` for items claimed one at a time in index order: ``({i: result}, {i: error})``.
 
-    An item that fails lowers the tail bound to its index: only the
-    lowest-numbered error is raised, so no item above it is worth claiming.
+    An item that fails sets the counter to ``n``, so no process claims
+    another.  Every lower index was claimed before it and runs to the end,
+    so the lowest-numbered error is always among those recorded.
     """
-    outcomes = {}
-    while (i := _claim(bounds, from_tail)) is not None:
+    results, errors = {}, {}
+    while (i := _claim(counter, n)) is not None:
         try:
-            outcomes[i] = work(i)
-        except Exception as exc:  # raised in index order by two_branch_features
-            outcomes[i] = exc
-            with bounds.get_lock():
-                bounds[1] = min(bounds[1], i)
-    return outcomes
+            results[i] = work(i)
+        except Exception as exc:  # raised by _fan_out once every process is done
+            errors[i] = exc
+            with counter.get_lock():
+                counter.value = n
+    return results, errors
 
 
-def _helper(sender, work, bounds):
-    sender.send(_run_claimed(work, bounds, from_tail=False))
+def _helper(sender, work, counter, n):
+    sender.send(_run_claimed(work, counter, n))
     sender.close()
 
 
 def _fan_out(work, n):
-    """``work(i)`` for ``i`` in ``range(n)``: each result, or the error it raised, in index order.
+    """``[work(i) for i in range(n)]``, or the error of the lowest ``i`` that failed.
 
-    Every item below the lowest-numbered failure runs; an item above it may
-    not, and is then None.  The items run on the CPUs in this process's
-    affinity mask: ``count - 1`` forked helpers claim items one at a time
-    from the head while this process claims them from the tail, so items
-    of different lengths stay balanced.  A helper claims its next item
-    itself, through a pair of shared bounds, and sends its results back once
+    The items run on the CPUs in this process's affinity mask: this process
+    and ``count - 1`` forked helpers each claim the next item, one at a
+    time, through one shared counter.  A helper sends its results back once
     none is left, so it never waits on this process.  With one CPU, or
-    without ``fork``, this process claims every item itself, from the head,
-    so that it meets the lowest-numbered failure first.
+    without ``fork``, this process claims every item itself.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = "fork" in multiprocessing.get_all_start_methods()
@@ -120,22 +119,24 @@ def _fan_out(work, n):
     # fork, not spawn: a spawned helper would import scipy again on every call,
     # and a forked one has the inputs without their being sent.
     context = multiprocessing.get_context("fork" if can_fork else None)
-    bounds = context.Array("l", [0, n])  # unclaimed: bounds[0] <= i < bounds[1]
+    counter = context.Value("l", 0)  # items below it are claimed
     processes, receivers = [], []
     try:
         for _ in range(helpers):
             receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_helper, args=(sender, work, bounds), daemon=True)
+            process = context.Process(target=_helper, args=(sender, work, counter, n), daemon=True)
             process.start()
             sender.close()
             processes.append(process)
             receivers.append(receiver)
-        outcomes = _run_claimed(work, bounds, from_tail=helpers > 0)
+        results, errors = _run_claimed(work, counter, n)
         for receiver in receivers:
             try:
-                outcomes.update(receiver.recv())
+                helper_results, helper_errors = receiver.recv()
             except EOFError:
                 raise RuntimeError("a helper exited before sending its results") from None
+            results.update(helper_results)
+            errors.update(helper_errors)
     except BaseException:
         for process in processes:
             process.terminate()
@@ -145,7 +146,9 @@ def _fan_out(work, n):
             receiver.close()
         for process in processes:
             process.join()
-    return [outcomes.get(i) for i in range(n)]
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(n)]
 
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
@@ -157,14 +160,9 @@ def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_
     is raised, whatever the CPU count or the stage that failed, and its
     message names the snapshot.
     """
-    outcomes = _fan_out(
-        lambda i: _snapshot(signals[i], faults, csf_config, band_fraction), len(signals)
-    )
-    for i, outcome in enumerate(outcomes, start=1):
-        if isinstance(outcome, Exception):
-            outcome.args = (f"snapshot {i}: {outcome}",)
-            raise outcome
-    raw, fits, filtered = zip(*outcomes)
+    raw, fits, filtered = zip(*_fan_out(
+        lambda i: _snapshot(signals, i, faults, csf_config, band_fraction), len(signals)
+    ))
     return (FeatureMatrix(values=np.vstack(raw), feature_names=FEATURE_NAMES),
             FeatureMatrix(values=np.vstack(filtered), feature_names=FEATURE_NAMES),
             list(fits))

@@ -372,19 +372,19 @@ def fit_med(signal, config=None):
     y = _check_fit_inputs(signal, config)
     l = config.filter_length
 
-    factor = _gram_factor(y, l)
-    if not np.isfinite(factor).all():  # checked once here, not by every solve
-        raise NumericalFailureError("MED normal equations are not finite")
+    # At extreme scales MED's arithmetic overflows; the finiteness checks below
+    # then raise one NumericalFailureError in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"), _serial_solver():
+        factor = _gram_factor(y, l)
+        if not np.isfinite(factor).all():  # checked once here, not by every solve
+            raise NumericalFailureError("MED normal equations are not finite")
 
-    w = _initial_filter(config)
-    w = w / np.linalg.norm(w)
+        w = _initial_filter(config)
+        f = _correlate_valid(y, w)
+        history = [-_kurtosis_raw(f)]
+        converged = False
+        iterations = 0
 
-    f = _correlate_valid(y, w)
-    history = [-_kurtosis_raw(f)]
-    converged = False
-    iterations = 0
-
-    with _serial_solver():
         for _ in range(config.max_iterations):
             b = _correlate_valid(y, f**3)
             w_new = cho_solve((factor, True), b, check_finite=False)

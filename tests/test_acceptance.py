@@ -262,7 +262,7 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     order = np.random.default_rng(1).permutation(984)
     for i in order:
         (seq_dir / stamps[i]).write_text("0.5\t1.5\n2.5\t3.5\n")
-    sequence = iterate_run_to_failure(seq_dir, 0, 20000.0, expected_rows=None)
+    sequence = iterate_run_to_failure(seq_dir, 0, 20000.0)
     ordered = [p.name for p in sequence.paths] == stamps
     verdict("11 IMS layout round-trips losslessly and iterates in order",
             lossless and len(sequence) == 984 and ordered,

@@ -113,6 +113,7 @@ class TestFilter:
         jsonschema.validate(report, load_schema("report_filter.schema.json"))
         assert report["method"] == "med"
 
+    @pytest.mark.filterwarnings("error")
     def test_med_overflow_is_named(self, tmp_path, capsys):
         samples = gaussian_with_outlier(4096, 8.0, seed=0).samples * 1e150
         record = tmp_path / "huge.csv"

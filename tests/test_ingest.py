@@ -29,18 +29,17 @@ class TestReadImsFile:
     def test_round_trip_lossless(self, tmp_path):
         first = tmp_path / "2004.02.12.10.32.39"
         matrix = make_snapshot(first, rows=64, cols=4, seed=5)
-        parsed = read_ims_file(first, 20000.0, expected_rows=None)
+        parsed = read_ims_file(first, 20000.0)
         second = tmp_path / "2004.02.12.10.52.39"
         write_ims_file(second, parsed.channels)
-        again = read_ims_file(second, 20000.0, expected_rows=None)
+        again = read_ims_file(second, 20000.0)
         assert np.array_equal(again.channels, matrix)
 
-    def test_short_file_warns(self, tmp_path):
+    def test_short_file_parses(self, tmp_path):
         path = tmp_path / "2004.02.12.10.32.39"
         with open(path, "w") as fh:
             fh.write("1\n2\n3\n")
-        with pytest.warns(UserWarning, match="expected 20480"):
-            snapshot = read_ims_file(path, 20000.0)
+        snapshot = read_ims_file(path, 20000.0)
         assert snapshot.channels.shape == (3, 1)
         assert snapshot.channel_signal(0).samples.tolist() == [1.0, 2.0, 3.0]
 
@@ -50,7 +49,7 @@ class TestReadImsFile:
         rows[6] = "0.1\tnot_a_number"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(SignalParseError) as excinfo:
-            read_ims_file(path, 20000.0, expected_rows=None)
+            read_ims_file(path, 20000.0)
         assert excinfo.value.line == 7
         assert "line 7" in str(excinfo.value)
 
@@ -58,7 +57,7 @@ class TestReadImsFile:
         path = tmp_path / "signal.csv"
         path.write_text("sample\n1.0\n\n   \n\t\n2.0\nbad\n3.0\n")
         with pytest.raises(SignalParseError) as excinfo:
-            read_ims_file(path, 20000.0, expected_rows=None)
+            read_ims_file(path, 20000.0)
         assert excinfo.value.line == 7
         assert "non-numeric content on line 7" in str(excinfo.value)
 
@@ -66,7 +65,7 @@ class TestReadImsFile:
         path = tmp_path / "2004.02.12.10.32.39"
         path.write_bytes(b"0.1\t0.2\n0.3\t0.4\n\xff\xfe\t0.5\n")
         with pytest.raises(SignalParseError) as excinfo:
-            read_ims_file(path, 20000.0, expected_rows=None)
+            read_ims_file(path, 20000.0)
         assert excinfo.value.line == 3
         assert "2004.02.12.10.32.39" in str(excinfo.value)
         assert "line 3" in str(excinfo.value)
@@ -74,20 +73,20 @@ class TestReadImsFile:
     def test_header_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_text("sample\n1.5\t-2\n  \n\n3\t4\t\n")
-        snapshot = read_ims_file(path, 20000.0, expected_rows=None)
+        snapshot = read_ims_file(path, 20000.0)
         assert snapshot.channels.tolist() == [[1.5, -2.0], [3.0, 4.0]]
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_text("sample\n\n")
         with pytest.raises(SignalParseError, match="no samples"):
-            read_ims_file(path, 20000.0, expected_rows=None)
+            read_ims_file(path, 20000.0)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "2004.02.12.10.32.39"
         path.write_text("1\t2\n3\n")
         with pytest.raises(SignalParseError):
-            read_ims_file(path, 20000.0, expected_rows=None)
+            read_ims_file(path, 20000.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -96,7 +95,7 @@ class TestReadImsFile:
     def test_channel_selection_bounds(self, tmp_path):
         path = tmp_path / "2004.02.12.10.32.39"
         make_snapshot(path, rows=16, cols=2)
-        snapshot = read_ims_file(path, 20000.0, expected_rows=None)
+        snapshot = read_ims_file(path, 20000.0)
         with pytest.raises(ValueError):
             snapshot.channel_signal(2)
 
@@ -122,7 +121,7 @@ class TestIterateRunToFailure:
         early = tmp_path / "2003.2.01.09.00.00"
         make_snapshot(late, seed=1)
         make_snapshot(early, seed=2)
-        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0, expected_rows=None)
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
         names = [p.name for p in sequence.paths]
         assert names == ["2003.2.01.09.00.00", "2003.11.25.10.00.00"]
 
@@ -137,7 +136,7 @@ class TestIterateRunToFailure:
         rng = np.random.default_rng(0)
         for i in rng.permutation(984):
             (tmp_path / stamps[i]).write_text("0.1\t0.2\n0.3\t0.4\n")
-        sequence = iterate_run_to_failure(tmp_path, 1, 20000.0, expected_rows=None)
+        sequence = iterate_run_to_failure(tmp_path, 1, 20000.0)
         assert len(sequence) == 984
         assert [p.name for p in sequence.paths] == stamps
         assert sequence.signals[0].samples.tolist() == [0.2, 0.4]
@@ -149,7 +148,7 @@ class TestIterateRunToFailure:
         bad.write_text("not numbers at all\n")
         unstamped = tmp_path / "readme.txt"
         unstamped.write_text("hello\n")
-        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0, expected_rows=None)
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
         assert len(sequence) == 1
         assert len(sequence.errors) == 2
 
@@ -157,7 +156,7 @@ class TestIterateRunToFailure:
         make_snapshot(tmp_path / "2004.02.12.10.32.39", seed=3)
         binary = tmp_path / "2004.02.12.10.42.39"
         binary.write_bytes(np.random.default_rng(0).bytes(300))
-        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0, expected_rows=None)
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
         assert len(sequence) == 1
         [(path, message)] = sequence.errors
         assert path == str(binary)
@@ -166,7 +165,7 @@ class TestIterateRunToFailure:
     def test_channel_out_of_range_reported(self, tmp_path):
         make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)
         make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=4, seed=5)
-        sequence = iterate_run_to_failure(tmp_path, 3, 20000.0, expected_rows=None)
+        sequence = iterate_run_to_failure(tmp_path, 3, 20000.0)
         assert len(sequence) == 1
         assert len(sequence.errors) == 1
 
@@ -174,7 +173,7 @@ class TestIterateRunToFailure:
         make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)
         make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=2, seed=5)
         with pytest.raises(ValueError, match="channel 5"):
-            iterate_run_to_failure(tmp_path, 5, 20000.0, expected_rows=None)
+            iterate_run_to_failure(tmp_path, 5, 20000.0)
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

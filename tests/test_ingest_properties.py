@@ -25,6 +25,6 @@ matrices = arrays(
 def test_write_then_read_is_bit_exact(tmp_path_factory, matrix, header):
     path = tmp_path_factory.mktemp("roundtrip") / "2004.02.12.10.32.39"
     write_ims_file(path, matrix, header=header)
-    channels = read_ims_file(path, 20000.0, expected_rows=None).channels
+    channels = read_ims_file(path, 20000.0).channels
     assert channels.shape == matrix.shape
     assert np.array_equal(channels.view(np.uint64), matrix.view(np.uint64))

@@ -90,21 +90,6 @@ class TestFitSignals:
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
-    def test_the_caller_fits_from_the_tail(self, monkeypatch):
-        fitted = []
-        fit = pipeline.fit_simplified_csf
-
-        def recorded_fit(signal, config):
-            fitted.append(signal.samples[0])  # only fits in this process are seen
-            return fit(signal, config)
-
-        monkeypatch.setattr(pipeline, "fit_simplified_csf", recorded_fit)
-        fake_affinity(monkeypatch, 2)
-        signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        two_branch_features(signals, FAULTS, FAST_CSF)
-        assert 1 <= len(fitted) < len(signals)
-        assert fitted[0] == signals[-1].samples[0]
-
     def test_the_caller_extracts_only_its_share_of_the_features(self, monkeypatch):
         calls, extract = [], pipeline.extract_feature_vector
 
@@ -123,7 +108,7 @@ class TestFitSignals:
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
         signals[2] = replace(signals[2], samples=signals[2].samples[:300])  # only its fit fails
         signals[5] = replace(signals[5], samples=np.full(4096, 0.25))  # features fail
-        fake_affinity(monkeypatch, n_cpus)  # a tail-first caller meets index 5 first
+        fake_affinity(monkeypatch, n_cpus)  # a helper may meet index 5 before index 2 fails
         with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 200 exceeds N/2"):
             two_branch_features(signals, FAULTS, CsfConfig(filter_length=200))
 
@@ -180,6 +165,42 @@ class TestFitSignals:
         with pytest.raises(RuntimeError, match="helper exited"):
             two_branch_features(signals, FAULTS, FAST_CSF)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_fan_out_is_the_serial_loop(self, monkeypatch, n_cpus):
+        def work(i):
+            time.sleep(0.01)  # so the helpers are up before the caller has claimed every item
+            if i in failing:
+                raise KeyError(f"item {i}")
+            return i * i
+
+        fake_affinity(monkeypatch, n_cpus)
+        failing = ()
+        assert pipeline._fan_out(work, 10) == [i * i for i in range(10)]
+        failing = (4, 7)
+        with pytest.raises(KeyError) as raised:
+            pipeline._fan_out(work, 10)
+        assert type(raised.value) is KeyError and raised.value.args == ("item 4",)
+
+    def test_every_process_claims_in_increasing_order(self, monkeypatch):
+        n = 12
+        claims = multiprocessing.Array("q", 2 * n)  # (pid, i) in the order the items ran
+        ran = multiprocessing.Value("i", 0)
+
+        def work(i):
+            with ran.get_lock():  # shared with the forked helper
+                claims[2 * ran.value:2 * ran.value + 2] = [os.getpid(), i]
+                ran.value += 1
+            time.sleep(0.02)
+            return i
+
+        fake_affinity(monkeypatch, 2)
+        assert pipeline._fan_out(work, n) == list(range(n))
+        by_process = {}
+        for pid, i in zip(claims[0::2], claims[1::2]):
+            by_process.setdefault(pid, []).append(i)
+        assert len(by_process) == 2
+        assert all(items == sorted(items) for items in by_process.values())
 
 
 class TestAssessSequence:
