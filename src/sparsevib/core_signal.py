@@ -9,7 +9,7 @@ the one-sided envelope spectrum.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, hilbert
+from scipy import fft as sp_fft
 
 from .errors import DegenerateInputError
 
@@ -79,43 +79,26 @@ class Spectrum:
         return float(self.frequencies_hz[1 + int(np.argmax(self.magnitudes[1:]))])
 
 
-# Above this many multiply-adds the FFT route wins; below it the direct
-# route is both faster and exact.  Direct valid-mode work is
-# (len(y) - len(v) + 1) * len(v): one kernel-length dot product per output.
-_DIRECT_CORRELATE_OPS = 4_000_000
+def _correlator(y):
+    """``v -> out`` with ``out[i] = sum_j y[i+j] v[j]`` over the valid windows.
 
-
-# OpenBLAS on x86_64 hands a ``ddot`` longer than 10000 elements to its
-# thread pool.  On the fit path that pool then competes for the cores with
-# the one scipy's L-BFGS-B uses, which makes a fit several times slower,
-# and its per-thread partial sums make the result depend on the thread
-# count.  Long dot products are therefore summed over pieces no longer
-# than this, each of which OpenBLAS runs on the calling thread.
-_SERIAL_DOT = 8192
-
-
-def _dot(a, b):
-    """``np.dot`` of two 1-D arrays, summed over pieces of ``_SERIAL_DOT`` elements."""
-    total = np.dot(a[:_SERIAL_DOT], b[:_SERIAL_DOT])
-    for i in range(_SERIAL_DOT, a.size, _SERIAL_DOT):
-        total += np.dot(a[i : i + _SERIAL_DOT], b[i : i + _SERIAL_DOT])
-    return total
-
-
-def _correlate_valid(y, v):
-    """``out[i] = sum_j y[i+j] v[j]`` with a size-adaptive method choice.
-
-    The direct route computes one ``len(v)``-long dot product per output,
-    so it sums correlations over pieces of ``v`` no longer than
-    ``_SERIAL_DOT``; a ``v`` that fits in one piece is one plain call.
+    ``rfft(y)`` is taken once, so each call costs one forward and one
+    inverse transform whatever ``len(v)`` is.  A transform as long as
+    ``y`` suffices: the circular wrap lands only on the first
+    ``len(v) - 1`` outputs, which valid mode drops.  pocketfft runs on the
+    calling thread and uses no BLAS, so no thread count changes a result.
     """
-    if (y.size - v.size + 1) * v.size > _DIRECT_CORRELATE_OPS:
-        return fftconvolve(y, v[::-1], mode="valid")
-    k = y.size - v.size
-    out = np.correlate(y[: _SERIAL_DOT + k], v[:_SERIAL_DOT], mode="valid")
-    for i in range(_SERIAL_DOT, v.size, _SERIAL_DOT):
-        out += np.correlate(y[i : i + _SERIAL_DOT + k], v[i : i + _SERIAL_DOT], mode="valid")
-    return out
+    n = sp_fft.next_fast_len(y.size, True)
+    spectrum = sp_fft.rfft(y, n)
+
+    def correlate(v):
+        kernel = sp_fft.rfft(v[::-1], n)
+        # In place, ``spectrum`` first: numpy's complex product is not symmetric
+        # bit for bit, and this is the order of scipy's FFT convolution.
+        np.multiply(spectrum, kernel, out=kernel)
+        return sp_fft.irfft(kernel, n)[v.size - 1 : y.size]
+
+    return correlate
 
 
 def convolve_valid(signal, w):
@@ -136,7 +119,7 @@ def convolve_valid(signal, w):
     -------
     np.ndarray
     """
-    return _correlate_valid(signal.samples, _validated_filter(signal, w))
+    return _correlator(signal.samples)(_validated_filter(signal, w))
 
 
 def _validated_filter(signal, w):
@@ -170,7 +153,11 @@ def hilbert_envelope(signal):
     """
     if len(signal) < 4:
         raise ValueError("envelope needs at least 4 samples")
-    env = np.abs(hilbert(signal.samples))
+    n = len(signal)
+    h = np.zeros(n)
+    h[: n // 2 + 1] = 1.0
+    h[1 : (n + 1) // 2] = 2.0
+    env = np.abs(sp_fft.ifft(sp_fft.fft(signal.samples) * h))
     return Signal(env, signal.sample_rate_hz)
 
 
@@ -202,8 +189,8 @@ def autocorrelation(x, max_lag):
     xc = x - x.mean()
     if not np.any(xc != 0.0):
         raise DegenerateInputError("autocorrelation of a constant signal is undefined")
-    # Full correlation via FFT; direct evaluation would be O(N * max_lag).
-    r = fftconvolve(xc, xc[::-1], mode="full")[n - 1 : n + max_lag]
+    # Zero-padding by n - 1 makes every lag a valid window.
+    r = _correlator(np.concatenate((xc, np.zeros(n - 1))))(xc)[: max_lag + 1]
     values = r / r[0]
     values[0] = 1.0
     return values

@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core_signal import _dot, autocorrelation, hilbert_envelope
+from .core_signal import autocorrelation, hilbert_envelope
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -113,7 +113,7 @@ def kurtosis(f):
     if peak == 0.0:
         raise DegenerateInputError("kurtosis of a zero-variance vector is undefined")
     fc = fc / peak
-    m2 = _dot(fc, fc)
+    m2 = np.sum(fc * fc)
     return float(f.size * np.sum(fc**4) / (m2 * m2))
 
 

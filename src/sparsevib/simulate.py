@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .core_signal import Signal
 
@@ -142,12 +142,14 @@ def _clean_signal(rng, config):
     n = config.n_samples
     clean = np.zeros(n)
     kernel = _resonance_kernel(config)
+    size = sp_fft.next_fast_len(n + kernel.size - 1, True)
+    kernel_spectrum = sp_fft.rfft(kernel, size)
     modulation = None
     for name in COMPONENT_ORDER:
         if name not in config.fault_components:
             continue
         spikes = _impulse_train(rng, config, config.fault_hz(name))
-        component = fftconvolve(spikes, kernel)[:n]
+        component = sp_fft.irfft(sp_fft.rfft(spikes, size) * kernel_spectrum, size)[:n]
         if name in ("inner", "roller"):
             if modulation is None:
                 modulation = _shaft_modulation(config)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
-from .core_signal import _correlate_valid, _dot, _validated_filter
+from .core_signal import _correlator, _validated_filter
 from .errors import DegenerateInputError, NumericalFailureError
 
 __all__ = [
@@ -176,11 +176,13 @@ def csf_cost(f, epsilon=1e-8):
     if not np.any(f != 0.0):
         raise DegenerateInputError("cost of the zero vector is undefined")
     c = _soft_abs(f, epsilon)
-    return float(c.sum() / np.sqrt(_dot(c, c)))
+    return float(c.sum() / np.sqrt(np.sum(c * c)))
 
 
-def _cost_and_gradient(y, w, epsilon):
+def _cost_and_gradient(correlate, w, epsilon):
     """Cost and its analytic gradient with respect to the filter taps.
+
+    ``correlate`` is the signal's ``_correlator``.
 
     With ``f = Y.w``, ``c_i = sqrt(f_i^2 + eps)``, ``S1 = sum(c)`` and
     ``S2 = sqrt(sum(c^2))``:
@@ -190,16 +192,16 @@ def _cost_and_gradient(y, w, epsilon):
     The trailing sum is a correlation of the per-sample factor with the
     signal, so it costs the same as the forward pass.
     """
-    f = _correlate_valid(y, w)
+    f = correlate(w)
     if not np.any(f != 0.0):
         raise DegenerateInputError("filtered output is identically zero")
     c = _soft_abs(f, epsilon)
     s1 = c.sum()
-    s2 = np.sqrt(_dot(c, c))
+    s2 = np.sqrt(np.sum(c * c))
     cost = s1 / s2
     # (1/S2 - S1 c/S2^3) * (f/c) simplifies: the second term's c cancels.
     per_sample = (f / c) / s2 - (s1 / s2**3) * f
-    grad = _correlate_valid(y, per_sample)
+    grad = correlate(per_sample)
     return cost, grad
 
 
@@ -208,7 +210,7 @@ def csf_gradient(signal, w, epsilon=1e-8):
     w = _validated_filter(signal, w)
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
-    _, grad = _cost_and_gradient(signal.samples, w, epsilon)
+    _, grad = _cost_and_gradient(_correlator(signal.samples), w, epsilon)
     return grad
 
 
@@ -254,11 +256,11 @@ def fit_simplified_csf(signal, config=None):
         the gradient-norm criterion (not an error).
     """
     config = config or CsfConfig()
-    y = _check_fit_inputs(signal, config)
+    correlate = _correlator(_check_fit_inputs(signal, config))
     eps = config.epsilon
 
     w0 = _initial_filter(config)
-    cost0, grad0 = _cost_and_gradient(y, w0, eps)
+    cost0, grad0 = _cost_and_gradient(correlate, w0, eps)
     gtol = config.gradient_tolerance * max(np.max(np.abs(grad0)), np.finfo(float).tiny)
 
     history = [cost0]
@@ -268,7 +270,7 @@ def fit_simplified_csf(signal, config=None):
 
     with _serial_solver():
         result = minimize(
-            lambda w: _cost_and_gradient(y, w, eps),
+            lambda w: _cost_and_gradient(correlate, w, eps),
             w0,
             jac=True,
             method="L-BFGS-B",
@@ -285,7 +287,7 @@ def fit_simplified_csf(signal, config=None):
     converged = bool(result.status == 0 or np.max(np.abs(result.jac)) <= gtol)
 
     w = result.x / np.linalg.norm(result.x)
-    filtered = _correlate_valid(y, w)
+    filtered = correlate(w)
     return CsfResult(
         w=w,
         filtered=filtered,
@@ -304,12 +306,13 @@ def _rotate(a, b):
     return cos * a + sin * b, cos * b - sin * a
 
 
-def _gram_factor(y, l):
+def _gram_factor(y, correlate, l):
     """Lower Cholesky factor of MED's ridged normal-equation matrix.
 
     The matrix is ``A = Y^T Y + delta I``, with ``A[j,k] = sum_i y[i+j] y[i+k]``
     over the ``m = N - l + 1`` valid windows and ``delta`` a small ridge
-    that guards a near-singular ``A``.  Since
+    that guards a near-singular ``A``; ``correlate`` is ``y``'s
+    ``_correlator``.  Since
     ``A[j+1,k+1] = A[j,k] - y[j] y[k] + y[m+j] y[m+k]``, shifting ``A`` one
     step down its diagonal leaves four rank-one terms,
     ``A - Z A Z^T = u u^T + p p^T - v v^T - q q^T`` (``Z`` the down-shift),
@@ -325,7 +328,7 @@ def _gram_factor(y, l):
     m = y.size - l + 1
     energy = np.concatenate(([0.0], np.cumsum(y * y)))
     trace = energy[m:].sum() - energy[:l].sum()  # sum of the l window energies
-    c = _correlate_valid(y, y[:m])  # c[d] = A[d, 0] without the ridge
+    c = correlate(y[:m])  # c[d] = A[d, 0] without the ridge
     c[0] += 1e-8 * trace / l
     if not c[0] > 0.0:
         raise NumericalFailureError("MED normal equations are singular")
@@ -352,7 +355,7 @@ def _gram_factor(y, l):
 
 def _kurtosis_raw(f):
     fc = f - f.mean()
-    m2 = _dot(fc, fc)
+    m2 = np.sum(fc * fc)
     if m2 == 0.0:
         return 0.0
     return float(f.size * np.sum(fc**4) / m2**2)
@@ -375,18 +378,19 @@ def fit_med(signal, config=None):
     # At extreme scales MED's arithmetic overflows; the finiteness checks below
     # then raise one NumericalFailureError in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"), _serial_solver():
-        factor = _gram_factor(y, l)
+        correlate = _correlator(y)
+        factor = _gram_factor(y, correlate, l)
         if not np.isfinite(factor).all():  # checked once here, not by every solve
             raise NumericalFailureError("MED normal equations are not finite")
 
         w = _initial_filter(config)
-        f = _correlate_valid(y, w)
+        f = correlate(w)
         history = [-_kurtosis_raw(f)]
         converged = False
         iterations = 0
 
         for _ in range(config.max_iterations):
-            b = _correlate_valid(y, f**3)
+            b = correlate(f**3)
             w_new = cho_solve((factor, True), b, check_finite=False)
             norm = np.linalg.norm(w_new)
             if not np.isfinite(norm) or norm == 0.0:
@@ -395,7 +399,7 @@ def fit_med(signal, config=None):
 
             delta = np.linalg.norm(w_new - w)
             w = w_new
-            f = _correlate_valid(y, w)
+            f = correlate(w)
             history.append(-_kurtosis_raw(f))
             iterations += 1
             if delta < config.gradient_tolerance:

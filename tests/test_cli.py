@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -647,3 +649,14 @@ class TestOutputDirEnv:
                     "--seed", "0", "-o", "nested/out.csv"])
         assert code == 0
         assert (tmp_path / "nested" / "out.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # A fresh interpreter: this test process may have imported scipy.signal itself.
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, sparsevib.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"

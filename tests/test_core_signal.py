@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as scipy_signal
+from scipy.fft import next_fast_len
 
 from sparsevib import (
     DegenerateInputError,
@@ -11,7 +13,7 @@ from sparsevib import (
     envelope_spectrum,
     hilbert_envelope,
 )
-from sparsevib.core_signal import _SERIAL_DOT, _correlate_valid, _dot
+from sparsevib.core_signal import _correlator
 
 
 def make_signal(samples, fs=1000.0):
@@ -94,40 +96,45 @@ class TestConvolveValid:
             convolve_valid(make_signal(np.arange(10.0)), [1.0, np.inf])
 
 
-class TestSerialPieces:
-    """Long dot products are summed in pieces that OpenBLAS does not thread."""
+class TestCorrelator:
+    """The FFT correlation engine against exactly rounded sums."""
 
-    LONG_SIZES = [8191, 8192, 8193, 20381, 3 * 8192 + 5]
+    # 8191 and 20479 are prime, so their transforms are padded to 8192 and 20480.
+    @pytest.mark.parametrize("n", [8191, 8192, 20479, 20480])
+    def test_matches_exact_sums(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n)
+        correlate = _correlator(y)
+        log_size = math.log2(next_fast_len(n, True))
+        for m in (2, 100, n // 2, n - 99):  # n - 99: the gradient's call at l = 100
+            v = rng.standard_normal(m)
+            got = correlate(v)
+            assert got.shape == (n - m + 1,)
+            # Normwise error bound of an FFT convolution: eps log2(size) |y| |v|.
+            bound = np.finfo(float).eps * log_size * np.linalg.norm(y) * np.linalg.norm(v)
+            for i in np.unique(np.linspace(0, n - m, 25).astype(int)):
+                assert abs(got[i] - math.fsum(y[i : i + m] * v)) <= bound
 
-    @staticmethod
-    def rounding_bound(products):
-        # Any summation order is within n * eps * sum|a_i b_i| of the exact sum.
-        return products.size * np.finfo(float).eps * math.fsum(np.abs(products))
 
-    @pytest.mark.parametrize("size", LONG_SIZES)
-    def test_dot_matches_exact_sum(self, size):
-        rng = np.random.default_rng(size)
-        a, b = rng.standard_normal(size), rng.standard_normal(size)
-        assert abs(_dot(a, b) - math.fsum(a * b)) <= self.rounding_bound(a * b)
+class TestScipyReference:
+    """Envelope and autocorrelation give scipy.signal's arrays bit for bit.
 
-    @pytest.mark.parametrize("size", LONG_SIZES)
-    def test_correlate_matches_exact_sums(self, size):
-        rng = np.random.default_rng(size)
-        k = 7
-        y, v = rng.standard_normal(size + k), rng.standard_normal(size)
-        got = _correlate_valid(y, v)
-        assert got.shape == (k + 1,)
-        for i in range(k + 1):
-            products = y[i : i + size] * v
-            assert abs(got[i] - math.fsum(products)) <= self.rounding_bound(products)
+    Lengths above 16384 give spectra large enough for numpy to reuse a
+    temporary factor of a product in place, which can swap the factors;
+    numpy's complex product is not symmetric bit for bit.
+    """
 
-    @pytest.mark.parametrize("size", [2, 100, 8093, _SERIAL_DOT])
-    def test_one_piece_is_the_plain_call(self, size):
-        rng = np.random.default_rng(size)
-        a, b = rng.standard_normal(size), rng.standard_normal(size)
-        assert _dot(a, b) == np.dot(a, b)
-        y = rng.standard_normal(size + 99)
-        assert np.array_equal(_correlate_valid(y, a), np.correlate(y, a, mode="valid"))
+    @pytest.mark.parametrize("n", [101, 8192, 20479, 20480])
+    def test_bit_identical(self, n):
+        x = np.random.default_rng(n).standard_normal(n) + 3.0
+        env = hilbert_envelope(make_signal(x)).samples
+        assert np.array_equal(env, np.abs(scipy_signal.hilbert(x)))
+        xc = x - x.mean()
+        full = scipy_signal.fftconvolve(xc, xc[::-1], mode="full")
+        for max_lag in (0, 1, 100, n // 3, n - 1):
+            want = full[n - 1 : n + max_lag] / full[n - 1]
+            want[0] = 1.0
+            assert np.array_equal(autocorrelation(x, max_lag), want)
 
 
 class TestHilbertEnvelope:

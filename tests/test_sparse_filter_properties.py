@@ -1,8 +1,8 @@
 """Property tests of the sparse-filter and MED fits.
 
-The analytic cost gradient matches central finite differences; signal
-lengths are drawn both below and above ``_SERIAL_DOT + l``, so the
-gradient's correlation runs both as one call and summed over pieces.
+The analytic cost gradient matches central finite differences on short
+and long signals of odd, even and prime length, up to beyond the
+20480-sample IMS snapshot; a prime length pads the correlation's FFT.
 Every fit returns a finite, unit-norm filter.
 """
 
@@ -11,7 +11,6 @@ import pytest
 
 from sparsevib import (CsfConfig, Signal, convolve_valid, csf_cost, csf_gradient, fit_med,
                        fit_simplified_csf)
-from sparsevib.core_signal import _SERIAL_DOT
 
 from test_sparse_filter import finite_difference_gradient
 
@@ -26,7 +25,8 @@ STEP = 1e-6
 @st.composite
 def fit_shapes(draw):
     l = draw(st.integers(2, 64))
-    n = draw(st.integers(2 * l, 512) | st.integers(_SERIAL_DOT + l, _SERIAL_DOT + 400))
+    n = draw(st.integers(2 * l, 512) | st.integers(8000, 21000)
+             | st.sampled_from([131, 8191, 20479]))  # primes
     return n, l
 
 
