@@ -8,7 +8,6 @@ metadata.  Exit codes: 0 success, 1 validation or tolerance failure,
 
 import argparse
 import inspect
-import io
 import json
 import math
 import os
@@ -30,7 +29,7 @@ from .features import (
     fault_frequencies,
 )
 from .health_models import SomConfig
-from .ingest import _read_utf8, iterate_run_to_failure, read_ims_file, write_ims_file
+from .ingest import iterate_run_to_failure, read_ims_file, read_manifest, write_ims_file
 from .pipeline import (
     DEFAULT_ASSESS_SOM,
     assess_sequence,
@@ -40,7 +39,6 @@ from .pipeline import (
 )
 from .simulate import (
     FaultSimConfig,
-    LabeledDataset,
     make_degradation_sequence,
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
@@ -381,31 +379,11 @@ def cmd_assess(args):
     return EXIT_OK
 
 
-def _read_manifest(path, sample_rate):
-    path = Path(path)
-    signals, labels = [], []
-    for line_no, line in enumerate(io.StringIO(_read_utf8(path), newline=None), start=1):
-        stripped = line.strip()
-        if not stripped or (line_no == 1 and stripped.lower().startswith("path")):
-            continue
-        try:
-            file_path, label = (t.strip() for t in stripped.split(",", 1))
-        except ValueError:
-            raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
-                                   line=line_no) from None
-        snapshot = read_ims_file(path.parent / file_path, sample_rate)
-        signals.append(snapshot.channel_signal(0))
-        labels.append(label)
-    if not signals:
-        raise SignalParseError(f"{path}: empty manifest")
-    return LabeledDataset(signals=signals, labels=labels)
-
-
 def cmd_classify(args):
     args = _input_mode_args(args, "--manifest" if args.manifest else None)
     faults = _fault_frequencies_from_args(args)
     if args.manifest:
-        dataset = _read_manifest(args.manifest, args.sample_rate_hz)
+        dataset = read_manifest(args.manifest, args.sample_rate_hz)
         source = {"manifest": str(args.manifest)}
     else:
         base = _config_from_args(FaultSimConfig, args)

@@ -1,14 +1,14 @@
-"""Readers for run-to-failure vibration snapshots.
+"""Readers for every text input: run-to-failure snapshots and the classify manifest.
 
-The supported layout is the classic NASA/IMS one: plain-text files, one
-row per sample, tab-separated sensor channels, and the acquisition
-timestamp encoded in the filename as ``YYYY.MM.DD.HH.MM.SS``.  The same
-reader and writer serve the CLI's one-column signal CSV, which adds a
-``sample`` header line.  Files carry no sample rate, so the caller
-supplies it.
+Snapshots use the classic NASA/IMS layout: plain-text files, one row per
+sample, tab-separated sensor channels, and the acquisition timestamp in
+the filename as ``YYYY.MM.DD.HH.MM.SS``.  The same reader and writer serve
+the CLI's one-column signal CSV, which adds a ``sample`` header line.
+Files carry no sample rate, so the caller supplies it.  Every file is
+decoded by ``_read_text`` and walked by ``_lines``.
 """
 
-import io
+import codecs
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -18,6 +18,7 @@ import numpy as np
 
 from .core_signal import Signal
 from .errors import SignalParseError
+from .simulate import LabeledDataset
 
 __all__ = [
     "SnapshotFile",
@@ -25,6 +26,7 @@ __all__ = [
     "write_ims_file",
     "iterate_run_to_failure",
     "RunToFailureSequence",
+    "read_manifest",
 ]
 
 TIMESTAMP_FORMAT = "%Y.%m.%d.%H.%M.%S"
@@ -43,11 +45,17 @@ class SnapshotFile:
         return self.channels.shape[1]
 
     def channel_signal(self, channel):
+        """One channel as a :class:`Signal` that owns its samples, not a view of the matrix."""
         if not (0 <= channel < self.n_channels):
             raise ValueError(
                 f"channel {channel} out of range for {self.n_channels}-channel file"
             )
-        return Signal(self.channels[:, channel], self.sample_rate_hz)
+        samples = self.channels[:, channel].copy()
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise ValueError(f"{self.path.name}: sample row {bad[0] + 1} of channel {channel} "
+                             f"is {samples[bad[0]]}, not a finite number")
+        return Signal(samples, self.sample_rate_hz)
 
 
 def _parse_timestamp(path):
@@ -65,11 +73,17 @@ def _is_number(token):
     return True
 
 
-def _read_utf8(path):
-    """Text of a file; bytes that are not UTF-8 raise :class:`SignalParseError` at their line."""
-    data = path.read_bytes()
+def _read_text(path):
+    """A file's text from one read of its bytes, every newline made ``\\n``.
+
+    ``\\r\\n`` and ``\\r`` end a line too (universal newlines).  Bytes that
+    are not UTF-8 raise at their line.  A leading UTF-8 byte-order mark
+    is dropped before decoding, so the offset of a decode error and the
+    newlines counted before it refer to the same bytes.
+    """
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise SignalParseError(
@@ -77,30 +91,12 @@ def _read_utf8(path):
         ) from None
 
 
-def _raise_at_bad_line(path):
-    """Raise :class:`SignalParseError` at the first malformed line, if any.
-
-    Runs only after the bulk parse failed: ``np.loadtxt`` numbers rows
-    from 0 with blank lines left out, so its row is not the file line.
-    """
-    text = _read_utf8(path)
-    width = None
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+def _lines(text):
+    """``(line_no, stripped)`` for the non-blank lines of a ``_read_text`` text."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
-        if not stripped or (line_no == 1 and not _is_number(stripped.split("\t")[0])):
-            continue
-        tokens = stripped.split("\t")
-        if not all(map(_is_number, tokens)):
-            raise SignalParseError(
-                f"{path.name}: non-numeric content on line {line_no}", line=line_no
-            )
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise SignalParseError(
-                f"{path.name}: expected {width} columns on line {line_no}, got {len(tokens)}",
-                line=line_no,
-            )
+        if stripped:
+            yield line_no, stripped
 
 
 def read_ims_file(path, sample_rate_hz):
@@ -108,24 +104,41 @@ def read_ims_file(path, sample_rate_hz):
 
     Line 1 is taken as a header and skipped when its first field is not a
     number; blank and whitespace-only lines are skipped.  Any row count is
-    accepted (real datasets contain truncated files).  A non-numeric token
-    or a ragged row raises :class:`SignalParseError` carrying the offending
-    1-based line number.
+    accepted (real datasets contain truncated files).  A non-numeric token,
+    a ragged row or a byte that is not UTF-8 raises
+    :class:`SignalParseError` carrying the offending 1-based line number.
     """
     path = Path(path)
+    text = _read_text(path)
+    lines = text.split("\n")
+    has_header = not _is_number(lines[0].strip().split("\t")[0])
     try:
-        with open(path, encoding="utf-8") as fh:
-            has_header = not _is_number(fh.readline().strip().split("\t")[0])
-            fh.seek(0)
-            with warnings.catch_warnings():
-                # An empty file is reported below as a SignalParseError.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                channels = np.loadtxt(
-                    (line.strip() for line in fh), delimiter="\t", comments=None,
-                    skiprows=int(has_header), ndmin=2,
-                )
-    except ValueError as exc:  # UnicodeDecodeError included
-        _raise_at_bad_line(path)
+        with warnings.catch_warnings():
+            # An empty file is reported below as a SignalParseError.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            channels = np.loadtxt(
+                (line.strip() for line in lines), delimiter="\t", comments=None,
+                skiprows=int(has_header), ndmin=2,
+            )
+    except ValueError as exc:
+        # np.loadtxt numbers rows from 0 with blank lines left out, so its row
+        # is not the file line: walk the text to the first malformed line.
+        width = None
+        for line_no, stripped in _lines(text):
+            if line_no == 1 and has_header:
+                continue
+            tokens = stripped.split("\t")
+            if not all(map(_is_number, tokens)):
+                raise SignalParseError(
+                    f"{path.name}: non-numeric content on line {line_no}", line=line_no
+                ) from None
+            if width is None:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise SignalParseError(
+                    f"{path.name}: expected {width} columns on line {line_no}, "
+                    f"got {len(tokens)}", line=line_no,
+                ) from None
         raise SignalParseError(f"{path.name}: {exc}") from None
     if channels.size == 0:
         raise SignalParseError(f"{path.name}: file contains no samples")
@@ -197,3 +210,26 @@ def iterate_run_to_failure(directory, channel, sample_rate_hz):
     if not signals:
         raise FileNotFoundError(f"no parseable snapshot files in {directory}")
     return RunToFailureSequence(signals=signals, paths=paths, errors=errors)
+
+
+def read_manifest(path, sample_rate_hz):
+    """Channel 0 of each snapshot in a classify manifest of ``path,label`` lines, and its label.
+
+    Paths are relative to the manifest; line 1 is a header when it starts
+    with ``path``.  A malformed line raises :class:`SignalParseError` at it.
+    """
+    path = Path(path)
+    signals, labels = [], []
+    for line_no, stripped in _lines(_read_text(path)):
+        if line_no == 1 and stripped.lower().startswith("path"):
+            continue
+        try:
+            file_path, label = (t.strip() for t in stripped.split(",", 1))
+        except ValueError:
+            raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
+                                   line=line_no) from None
+        signals.append(read_ims_file(path.parent / file_path, sample_rate_hz).channel_signal(0))
+        labels.append(label)
+    if not signals:
+        raise SignalParseError(f"{path}: empty manifest")
+    return LabeledDataset(signals=signals, labels=labels)

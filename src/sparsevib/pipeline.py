@@ -210,6 +210,8 @@ def assess_sequence(
     every snapshot against it.  The alarm threshold is mean + 6 std of the
     training MQEs.
     """
+    if n_train < 2:
+        raise ValueError(f"n_train must be at least 2, got {n_train}")
     if len(signals) < n_train + 1:
         raise ValueError(f"need at least {n_train + 1} snapshots, got {len(signals)}")
     som_config = som_config or DEFAULT_ASSESS_SOM

@@ -26,6 +26,7 @@ from scipy.optimize import minimize
 
 from .core_signal import _correlator, _validated_filter
 from .errors import DegenerateInputError, NumericalFailureError
+from .features import kurtosis
 
 __all__ = [
     "CsfConfig",
@@ -74,11 +75,10 @@ def _solver_blas_threads():
 # waits for it, so a fit slows by half or more whenever another process
 # wants that core.  The solver therefore runs with its OpenBLAS on one
 # thread; each right-hand side is solved on its own, so its result does
-# not change.  MED's solves run on one thread too: a threaded solve sums
-# in another order, so its filter would depend on the core count (its
-# factor, from ``_gram_factor``, uses no BLAS at all).  Parallelism comes
-# from running snapshots side by side (``pipeline.two_branch_features``),
-# never from inside one fit.
+# not change.  MED needs no pin: its factor, from ``_gram_factor``, uses
+# no BLAS, and each of its solves has one right-hand side, which OpenBLAS
+# does not split.  Parallelism comes from running snapshots side by side
+# (``pipeline.two_branch_features``), never from inside one fit.
 # The previous count is restored when the last concurrent fit returns.
 _SOLVER_THREADS = _solver_blas_threads()
 _solver_lock = threading.Lock()
@@ -88,7 +88,7 @@ _solver_restore = None  # thread count before the first of them entered
 
 @contextlib.contextmanager
 def _serial_solver():
-    """Run the enclosed L-BFGS-B solve or MED solves with scipy's OpenBLAS on one thread."""
+    """Run the enclosed L-BFGS-B solve with scipy's OpenBLAS on one thread."""
     global _solver_fits, _solver_restore
     if _SOLVER_THREADS is None:
         yield
@@ -353,14 +353,6 @@ def _gram_factor(y, correlate, l):
     return factor
 
 
-def _kurtosis_raw(f):
-    fc = f - f.mean()
-    m2 = np.sum(fc * fc)
-    if m2 == 0.0:
-        return 0.0
-    return float(f.size * np.sum(fc**4) / m2**2)
-
-
 def fit_med(signal, config=None):
     """Minimum entropy deconvolution baseline (kurtosis-maximizing filter).
 
@@ -377,7 +369,7 @@ def fit_med(signal, config=None):
 
     # At extreme scales MED's arithmetic overflows; the finiteness checks below
     # then raise one NumericalFailureError in place of numpy's warnings.
-    with np.errstate(over="ignore", invalid="ignore"), _serial_solver():
+    with np.errstate(over="ignore", invalid="ignore"):
         correlate = _correlator(y)
         factor = _gram_factor(y, correlate, l)
         if not np.isfinite(factor).all():  # checked once here, not by every solve
@@ -385,7 +377,7 @@ def fit_med(signal, config=None):
 
         w = _initial_filter(config)
         f = correlate(w)
-        history = [-_kurtosis_raw(f)]
+        history = [-kurtosis(f)]
         converged = False
         iterations = 0
 
@@ -400,7 +392,7 @@ def fit_med(signal, config=None):
             delta = np.linalg.norm(w_new - w)
             w = w_new
             f = correlate(w)
-            history.append(-_kurtosis_raw(f))
+            history.append(-kurtosis(f))
             iterations += 1
             if delta < config.gradient_tolerance:
                 converged = True

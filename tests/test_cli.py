@@ -325,6 +325,26 @@ class TestAssess:
         assert path.endswith("2004.02.12.10.02.40")
         assert "line" in message and "not UTF-8" in message
 
+    @pytest.mark.parametrize("n_train", ["0", "1"])
+    def test_n_train_below_two_rejected_before_fits(self, tmp_path, capsys, monkeypatch, n_train):
+        fits = []
+        fit = pipeline.fit_simplified_csf
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
+        code = run([
+            "assess", "--simulate-degradation", "--n-files", "6", "--onset", "3",
+            "--n-train", n_train, "--n-samples", "2048", "--filter-length", "16",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "mqe.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "n_train" in err
+        assert fits == []
+
     def test_input_dir_requires_channel(self, tmp_path):
         (tmp_path / "data").mkdir()
         code = run([
@@ -431,6 +451,19 @@ class TestClassify:
             "-o", str(tmp_path / "cls"),
         ])
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["filter", "classify"])
+def test_non_finite_sample_names_file_and_row(tmp_path, capsys, command):
+    (tmp_path / "sig.txt").write_text("sample\n" + "1.0\n" * 4 + "nan\n" + "2.0\n" * 4)
+    (tmp_path / "runs.csv").write_text("sig.txt,outer\n")
+    argv = {"filter": ["filter", "--input", str(tmp_path / "sig.txt"), "--filter-length", "2"],
+            "classify": ["classify", "--manifest", str(tmp_path / "runs.csv"),
+                         "--bpfo", "100", "--bpfi", "160", "--bsf", "70"]}[command]
+    code = run([*argv, "--sample-rate", "20000", "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: sig.txt: sample row 5 of channel 0 is nan, not a finite number\n")
 
 
 def write_manifest(tmp_path, signals):

@@ -69,6 +69,13 @@ class TestKurtosis:
         with pytest.raises(DegenerateInputError):
             kurtosis(np.full(16, 2.0))
 
+    def test_short_vectors(self):
+        # MED scores its outputs with this kurtosis, and the shortest has 3 samples.
+        assert kurtosis([1.0, -1.0]) == pytest.approx(1.0, rel=1e-12)
+        assert kurtosis([1.0, 0.0, -1.0]) == pytest.approx(1.5, rel=1e-12)
+        with pytest.raises(ValueError, match="at least 2"):
+            kurtosis([1.0])
+
     def test_matches_lp_lq_identity(self):
         # kurtosis == N / J_{2,4}^2 when both see the same mean-removed samples
         rng = np.random.default_rng(4)

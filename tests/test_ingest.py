@@ -7,6 +7,7 @@ from sparsevib import (
     read_ims_file,
     write_ims_file,
 )
+from sparsevib.ingest import read_manifest
 
 
 def make_snapshot(path, rows=16, cols=4, seed=0):
@@ -70,6 +71,18 @@ class TestReadImsFile:
         assert "2004.02.12.10.32.39" in str(excinfo.value)
         assert "line 3" in str(excinfo.value)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\t2.0\n3.0\t4.0\n")
+        assert read_ims_file(path, 20000.0).channels.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.1\t0.2\n0.3\t0.4\n\xff\t0.5\n")
+        with pytest.raises(SignalParseError, match="line 3 is not UTF-8") as excinfo:
+            read_ims_file(path, 20000.0)
+        assert excinfo.value.line == 3
+
     def test_header_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_text("sample\n1.5\t-2\n  \n\n3\t4\t\n")
@@ -91,6 +104,13 @@ class TestReadImsFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_ims_file(tmp_path / "2004.01.01.00.00.00", 20000.0)
+
+    def test_channel_signal_owns_its_samples(self, tmp_path):
+        path = tmp_path / "2004.02.12.10.32.39"
+        matrix = make_snapshot(path, rows=16, cols=4)
+        samples = read_ims_file(path, 20000.0).channel_signal(2).samples
+        assert samples.base is None
+        assert np.array_equal(samples, matrix[:, 2])
 
     def test_channel_selection_bounds(self, tmp_path):
         path = tmp_path / "2004.02.12.10.32.39"
@@ -162,6 +182,16 @@ class TestIterateRunToFailure:
         assert path == str(binary)
         assert "not UTF-8" in message
 
+    def test_non_finite_file_reported_not_fatal(self, tmp_path):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", seed=3)
+        bad = tmp_path / "2004.02.12.10.42.39"
+        bad.write_text("sample\n0.1\t0.2\n\ninf\t0.4\n")  # row 2 is on line 4
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
+        assert len(sequence) == 1
+        [(path, message)] = sequence.errors
+        assert path == str(bad)
+        assert "2004.02.12.10.42.39: sample row 2 of channel 0 is inf" in message
+
     def test_channel_out_of_range_reported(self, tmp_path):
         make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)
         make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=4, seed=5)
@@ -178,3 +208,20 @@ class TestIterateRunToFailure:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             iterate_run_to_failure(tmp_path, 0, 20000.0)
+
+
+class TestReadManifest:
+    def test_byte_order_mark_before_header(self, tmp_path):
+        make_snapshot(tmp_path / "a.txt", cols=1, seed=1)
+        make_snapshot(tmp_path / "b.txt", cols=2, seed=2)
+        (tmp_path / "runs.csv").write_bytes(
+            b"\xef\xbb\xbfpath,label\r\n\r\na.txt, outer\r\nb.txt,inner\r\n")
+        dataset = read_manifest(tmp_path / "runs.csv", 20000.0)
+        assert dataset.labels == ["outer", "inner"]
+        assert [len(s) for s in dataset.signals] == [16, 16]
+
+    def test_missing_label_cites_line(self, tmp_path):
+        (tmp_path / "runs.csv").write_text("a.txt,outer\n\nb.txt\n")
+        make_snapshot(tmp_path / "a.txt", cols=1)
+        with pytest.raises(SignalParseError, match="runs.csv: line 3: expected 'path,label'"):
+            read_manifest(tmp_path / "runs.csv", 20000.0)
