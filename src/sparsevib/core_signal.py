@@ -79,24 +79,58 @@ class Spectrum:
         return float(self.frequencies_hz[1 + int(np.argmax(self.magnitudes[1:]))])
 
 
-def _correlator(y):
-    """``v -> out`` with ``out[i] = sum_j y[i+j] v[j]`` over the valid windows.
+def _correlator(y, l):
+    """``v -> out`` with ``out[i] = sum_j y[i+j] v[j]``, for a filter length ``l``.
 
-    ``rfft(y)`` is taken once, so each call costs one forward and one
-    inverse transform whatever ``len(v)`` is.  A transform as long as
-    ``y`` suffices: the circular wrap lands only on the first
-    ``len(v) - 1`` outputs, which valid mode drops.  pocketfft runs on the
-    calling thread and uses no BLAS, so no thread count changes a result.
+    A ``v`` of ``l`` taps gives the ``m = N - l + 1`` valid windows' sums
+    (the forward pass); a ``v`` of ``m`` weights gives the ``l`` sums
+    ``sum_i v[i] y[i+j]`` (the adjoint: the gradient, MED's right-hand side
+    and normal equations).  Overlap-save (Stockham 1966): ``y`` is cut into
+    blocks of ``size`` points that overlap by ``l - 1``, so each block holds
+    ``step = size - l + 1`` whole windows, and the blocks' ``rfft`` is taken
+    once.  A call then runs one batched transform of ``size``-point rows and
+    one small transform, not whole-record transforms.  ``size`` is ``8 l``
+    rounded up to a fast length, capped at the record's own fast length; a
+    filter that long gets one block, the whole record, and the same bits as
+    a whole-record FFT correlation.  pocketfft runs on the calling thread and
+    uses no BLAS, and the blocks are summed in a fixed order, so no thread
+    or CPU count changes a result.  The returned function reuses its work
+    arrays, so it serves one caller at a time.
     """
-    n = sp_fft.next_fast_len(y.size, True)
-    spectrum = sp_fft.rfft(y, n)
+    n = y.size
+    m = n - l + 1
+    size = min(sp_fft.next_fast_len(8 * l, True), sp_fft.next_fast_len(n, True))
+    step = size - l + 1
+    count = -(-m // step)
+    padded = np.zeros(count * step + l - 1)
+    padded[:n] = y
+    blocks = sp_fft.rfft(np.lib.stride_tricks.sliding_window_view(padded, size)[::step])
+    pad = count * step - m  # zeros after the last window
+    first = step - 1 - pad
+    # The adjoint's work arrays are kept across calls: fresh ones, a record's
+    # worth of memory each, were page-faulted in again on every call at
+    # N = 20480, as glibc trimmed the heap in between.
+    weights = np.zeros(count * step)
+    kernels = np.zeros((count, size))
 
     def correlate(v):
-        kernel = sp_fft.rfft(v[::-1], n)
-        # In place, ``spectrum`` first: numpy's complex product is not symmetric
-        # bit for bit, and this is the order of scipy's FFT convolution.
-        np.multiply(spectrum, kernel, out=kernel)
-        return sp_fft.irfft(kernel, n)[v.size - 1 : y.size]
+        if v.size == l:
+            # ``blocks`` first: numpy's complex product is not symmetric bit for
+            # bit, and this is the order of scipy's FFT convolution.
+            spectra = np.multiply(blocks, sp_fft.rfft(v[::-1], size))
+            return sp_fft.irfft(spectra, size, overwrite_x=True)[:, l - 1 :].ravel()[:m]
+        # Piece b of ``v`` (its windows in block b), reversed, meets block b; the
+        # pieces' spectra are summed before one inverse transform.  Each reversed
+        # piece is rolled back by ``pad`` points, circularly, so the sums are read
+        # at ``first``, and a lone block's kernel is ``v[::-1]`` then zeros, as in
+        # a whole-record correlation.
+        weights[:m] = v
+        rows = weights.reshape(count, step)[:, ::-1]
+        kernels[:, : step - pad] = rows[:, pad:]
+        kernels[:, size - pad :] = rows[:, :pad]
+        spectra = sp_fft.rfft(kernels)
+        np.multiply(blocks, spectra, out=spectra)
+        return sp_fft.irfft(spectra.sum(axis=0), size)[first : first + l]
 
     return correlate
 
@@ -119,7 +153,8 @@ def convolve_valid(signal, w):
     -------
     np.ndarray
     """
-    return _correlator(signal.samples)(_validated_filter(signal, w))
+    w = _validated_filter(signal, w)
+    return _correlator(signal.samples, w.size)(w)
 
 
 def _validated_filter(signal, w):
@@ -190,7 +225,7 @@ def autocorrelation(x, max_lag):
     if not np.any(xc != 0.0):
         raise DegenerateInputError("autocorrelation of a constant signal is undefined")
     # Zero-padding by n - 1 makes every lag a valid window.
-    r = _correlator(np.concatenate((xc, np.zeros(n - 1))))(xc)[: max_lag + 1]
+    r = _correlator(np.concatenate((xc, np.zeros(n - 1))), n)(xc)[: max_lag + 1]
     values = r / r[0]
     values[0] = 1.0
     return values

@@ -45,17 +45,24 @@ class SnapshotFile:
         return self.channels.shape[1]
 
     def channel_signal(self, channel):
-        """One channel as a :class:`Signal` that owns its samples, not a view of the matrix."""
+        """One channel as a :class:`Signal` that owns its samples, not a view of the matrix.
+
+        Every ``ValueError`` it raises names the file.
+        """
         if not (0 <= channel < self.n_channels):
             raise ValueError(
-                f"channel {channel} out of range for {self.n_channels}-channel file"
+                f"{self.path.name}: channel {channel} out of range for "
+                f"{self.n_channels}-channel file"
             )
         samples = self.channels[:, channel].copy()
         bad = np.flatnonzero(~np.isfinite(samples))
         if bad.size:
             raise ValueError(f"{self.path.name}: sample row {bad[0] + 1} of channel {channel} "
                              f"is {samples[bad[0]]}, not a finite number")
-        return Signal(samples, self.sample_rate_hz)
+        try:
+            return Signal(samples, self.sample_rate_hz)
+        except ValueError as exc:
+            raise ValueError(f"{self.path.name}: {exc}") from None
 
 
 def _parse_timestamp(path):
@@ -77,15 +84,17 @@ def _read_text(path):
     """A file's text from one read of its bytes, every newline made ``\\n``.
 
     ``\\r\\n`` and ``\\r`` end a line too (universal newlines).  Bytes that
-    are not UTF-8 raise at their line.  A leading UTF-8 byte-order mark
-    is dropped before decoding, so the offset of a decode error and the
-    newlines counted before it refer to the same bytes.
+    are not UTF-8 raise at their line, counted with the same line ends.  A
+    leading UTF-8 byte-order mark is dropped before decoding, so the offset
+    of a decode error and the line ends counted before it refer to the same
+    bytes.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise SignalParseError(
             f"{path.name}: line {line_no} is not UTF-8 text", line=line_no
         ) from None
@@ -177,8 +186,10 @@ def iterate_run_to_failure(directory, channel, sample_rate_hz):
 
     Files whose names do not parse as timestamps, or whose contents fail
     to parse, are recorded in ``errors`` and skipped; iteration continues.
-    A ``channel`` that no parsed file has raises ``ValueError``.  The
-    sequence index of the result is the chronological "test file No.".
+    When no parsed file gives a signal, ``ValueError`` says why: the
+    ``channel`` is out of range in every one, or it cites their errors
+    (a non-finite sample, too few rows).  The sequence index of the result
+    is the chronological "test file No.".
     """
     directory = Path(directory)
     entries = sorted(p for p in directory.iterdir() if p.is_file())
@@ -194,19 +205,27 @@ def iterate_run_to_failure(directory, channel, sample_rate_hz):
         stamped.append((ts, path))
     stamped.sort(key=lambda item: (item[0], item[1].name))
 
-    signals, paths, n_parsed = [], [], 0
+    signals, paths, unusable = [], [], []  # unusable: (channel count, error) per parsed file
     for _, path in stamped:
         try:
             snapshot = read_ims_file(path, sample_rate_hz)
-            n_parsed += 1
-            signals.append(snapshot.channel_signal(channel))
-            paths.append(path)
         except (ValueError, OSError) as exc:
             errors.append((str(path), str(exc)))
-    if n_parsed and not signals:
-        raise ValueError(
-            f"channel {channel} is out of range in all {n_parsed} parseable snapshots in {directory}"
-        )
+            continue
+        try:
+            signals.append(snapshot.channel_signal(channel))
+        except ValueError as exc:
+            errors.append((str(path), str(exc)))
+            unusable.append((snapshot.n_channels, str(exc)))
+        else:
+            paths.append(path)
+    if unusable and not signals:
+        if all(not 0 <= channel < width for width, _ in unusable):
+            raise ValueError(f"channel {channel} is out of range in all {len(unusable)} "
+                             f"parseable snapshots in {directory}")
+        more = f"; and {len(unusable) - 3} more" if len(unusable) > 3 else ""
+        raise ValueError(f"no parseable snapshot in {directory} gives a signal on channel "
+                         f"{channel}: " + "; ".join(e for _, e in unusable[:3]) + more)
     if not signals:
         raise FileNotFoundError(f"no parseable snapshot files in {directory}")
     return RunToFailureSequence(signals=signals, paths=paths, errors=errors)

@@ -159,8 +159,17 @@ class CsfResult:
     iterations: int = 0
 
 
-def _soft_abs(f, epsilon):
-    return np.sqrt(f * f + epsilon)
+def _soft_abs_sums(f, epsilon):
+    """``c = sqrt(f^2 + eps)``, ``S1 = sum(c)`` and ``S2 = sqrt(sum(c^2))``.
+
+    ``f^2 + eps`` is formed once: its sum is ``S2^2``, and its square root,
+    taken in place, is ``c``.
+    """
+    c = f * f
+    c += epsilon
+    s2 = np.sqrt(c.sum())
+    np.sqrt(c, out=c)
+    return c, c.sum(), s2
 
 
 def csf_cost(f, epsilon=1e-8):
@@ -175,34 +184,33 @@ def csf_cost(f, epsilon=1e-8):
         raise ValueError("epsilon must be positive")
     if not np.any(f != 0.0):
         raise DegenerateInputError("cost of the zero vector is undefined")
-    c = _soft_abs(f, epsilon)
-    return float(c.sum() / np.sqrt(np.sum(c * c)))
+    _, s1, s2 = _soft_abs_sums(f, epsilon)
+    return float(s1 / s2)
 
 
 def _cost_and_gradient(correlate, w, epsilon):
     """Cost and its analytic gradient with respect to the filter taps.
 
-    ``correlate`` is the signal's ``_correlator``.
+    ``correlate`` is the signal's ``_correlator`` for ``len(w)`` taps.
 
     With ``f = Y.w``, ``c_i = sqrt(f_i^2 + eps)``, ``S1 = sum(c)`` and
-    ``S2 = sqrt(sum(c^2))``:
+    ``S2 = sqrt(sum(c^2))`` (summed as ``f^2 + eps``, before the root):
 
         dJ/dw_j = sum_i (1/S2 - S1 c_i / S2^3) * (f_i / c_i) * y_{i+j-1}
 
-    The trailing sum is a correlation of the per-sample factor with the
-    signal, so it costs the same as the forward pass.
+    The trailing sum is the correlator's adjoint pass on the per-sample
+    factor, one batched block transform, as the forward pass is.
     """
     f = correlate(w)
     if not np.any(f != 0.0):
         raise DegenerateInputError("filtered output is identically zero")
-    c = _soft_abs(f, epsilon)
-    s1 = c.sum()
-    s2 = np.sqrt(np.sum(c * c))
-    cost = s1 / s2
+    c, s1, s2 = _soft_abs_sums(f, epsilon)
     # (1/S2 - S1 c/S2^3) * (f/c) simplifies: the second term's c cancels.
-    per_sample = (f / c) / s2 - (s1 / s2**3) * f
-    grad = correlate(per_sample)
-    return cost, grad
+    # Formed in ``c``'s memory: (f / c) / S2 - (S1 / S2^3) f.
+    per_sample = np.divide(f, c, out=c)
+    per_sample /= s2
+    per_sample -= (s1 / s2**3) * f
+    return s1 / s2, correlate(per_sample)
 
 
 def csf_gradient(signal, w, epsilon=1e-8):
@@ -210,7 +218,7 @@ def csf_gradient(signal, w, epsilon=1e-8):
     w = _validated_filter(signal, w)
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
-    _, grad = _cost_and_gradient(_correlator(signal.samples), w, epsilon)
+    _, grad = _cost_and_gradient(_correlator(signal.samples, w.size), w, epsilon)
     return grad
 
 
@@ -256,7 +264,7 @@ def fit_simplified_csf(signal, config=None):
         the gradient-norm criterion (not an error).
     """
     config = config or CsfConfig()
-    correlate = _correlator(_check_fit_inputs(signal, config))
+    correlate = _correlator(_check_fit_inputs(signal, config), config.filter_length)
     eps = config.epsilon
 
     w0 = _initial_filter(config)
@@ -312,7 +320,9 @@ def _gram_factor(y, correlate, l):
     The matrix is ``A = Y^T Y + delta I``, with ``A[j,k] = sum_i y[i+j] y[i+k]``
     over the ``m = N - l + 1`` valid windows and ``delta`` a small ridge
     that guards a near-singular ``A``; ``correlate`` is ``y``'s
-    ``_correlator``.  Since
+    ``_correlator`` for ``l``, whose adjoint pass on ``y[:m]`` gives ``A``'s
+    first column (one block, a whole-record correlation, at MED's usual
+    ``l = N/2``).  Since
     ``A[j+1,k+1] = A[j,k] - y[j] y[k] + y[m+j] y[m+k]``, shifting ``A`` one
     step down its diagonal leaves four rank-one terms,
     ``A - Z A Z^T = u u^T + p p^T - v v^T - q q^T`` (``Z`` the down-shift),
@@ -370,7 +380,7 @@ def fit_med(signal, config=None):
     # At extreme scales MED's arithmetic overflows; the finiteness checks below
     # then raise one NumericalFailureError in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        correlate = _correlator(y)
+        correlate = _correlator(y, l)
         factor = _gram_factor(y, correlate, l)
         if not np.isfinite(factor).all():  # checked once here, not by every solve
             raise NumericalFailureError("MED normal equations are not finite")

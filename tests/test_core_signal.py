@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import signal as scipy_signal
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 from sparsevib import (
     DegenerateInputError,
@@ -96,24 +96,73 @@ class TestConvolveValid:
             convolve_valid(make_signal(np.arange(10.0)), [1.0, np.inf])
 
 
-class TestCorrelator:
-    """The FFT correlation engine against exactly rounded sums."""
+def block_size(n, l):
+    """The engine's block length: ``8 l`` rounded up to a fast length, capped at the record's."""
+    return min(next_fast_len(8 * l, True), next_fast_len(n, True))
 
-    # 8191 and 20479 are prime, so their transforms are padded to 8192 and 20480.
+
+def check_both_directions(y, l, rng):
+    """Forward pass and adjoint of ``_correlator(y, l)`` against exactly rounded sums.
+
+    Normwise error bound of an FFT convolution: eps log2(size) |y| |v|.
+    Each direction is checked at 25 spread outputs and at the ends of
+    every block within reach of them.
+    """
+    n = y.size
+    m = n - l + 1
+    correlate = _correlator(y, l)
+    size = block_size(n, l)
+    step = size - l + 1
+    scale = np.finfo(float).eps * math.log2(size) * np.linalg.norm(y)
+
+    v = rng.standard_normal(l)
+    got = correlate(v)
+    assert got.shape == (m,)
+    edges = [i for k in range(1, -(-m // step)) for i in (k * step - 1, k * step)]
+    for i in sorted({*np.linspace(0, m - 1, 25).astype(int), *edges[:8], *edges[-8:]}):
+        assert abs(got[i] - math.fsum(y[i : i + l] * v)) <= scale * np.linalg.norm(v)
+
+    u = rng.standard_normal(m)
+    got = correlate(u)
+    assert got.shape == (l,)
+    for j in np.unique(np.linspace(0, l - 1, 25).astype(int)):
+        assert abs(got[j] - math.fsum(y[j : j + m] * u)) <= scale * np.linalg.norm(u)
+
+
+class TestCorrelator:
+    """The block (overlap-save) correlation engine against exactly rounded sums."""
+
+    # At l = 2 and l = 100 the record spans many blocks; at l = N/2 it is one
+    # block, padded to 8192 or 20480 points when N is the prime 8191 or 20479.
     @pytest.mark.parametrize("n", [8191, 8192, 20479, 20480])
     def test_matches_exact_sums(self, n):
         rng = np.random.default_rng(n)
         y = rng.standard_normal(n)
-        correlate = _correlator(y)
-        log_size = math.log2(next_fast_len(n, True))
-        for m in (2, 100, n // 2, n - 99):  # n - 99: the gradient's call at l = 100
-            v = rng.standard_normal(m)
-            got = correlate(v)
-            assert got.shape == (n - m + 1,)
-            # Normwise error bound of an FFT convolution: eps log2(size) |y| |v|.
-            bound = np.finfo(float).eps * log_size * np.linalg.norm(y) * np.linalg.norm(v)
-            for i in np.unique(np.linspace(0, n - m, 25).astype(int)):
-                assert abs(got[i] - math.fsum(y[i : i + m] * v)) <= bound
+        for l in (2, 100, n // 2):
+            check_both_directions(y, l, rng)
+
+    # l = 100 gives blocks of 800 points that hold 701 windows each.
+    @pytest.mark.parametrize("windows", [12 * 701, 12 * 701 + 1])
+    def test_block_boundaries(self, windows):
+        # 12 full blocks exactly, and 12 full blocks plus one holding one window.
+        assert block_size(windows + 99, 100) - 99 == 701
+        rng = np.random.default_rng(windows)
+        check_both_directions(rng.standard_normal(windows + 99), 100, rng)
+
+    # Filters long enough for one block: MED at l = N/2, and the autocorrelation's
+    # zero-padded record, whose l is the vector's length.
+    @pytest.mark.parametrize("n, l", [(4096, 2048), (8191, 4095), (8192, 4096),
+                                      (20479, 10239), (20480, 4096), (2 * 1000 - 1, 1000)])
+    def test_one_block_is_the_whole_record_transform(self, n, l):
+        assert block_size(n, l) == next_fast_len(n, True)
+        rng = np.random.default_rng(n + l)
+        y = rng.standard_normal(n)
+        correlate = _correlator(y, l)
+        size = next_fast_len(n, True)
+        spectrum = rfft(y, size)
+        for v in (rng.standard_normal(l), rng.standard_normal(n - l + 1)):
+            want = irfft(np.multiply(spectrum, rfft(v[::-1], size)), size)[v.size - 1 : n]
+            assert np.array_equal(correlate(v), want)
 
 
 class TestScipyReference:

@@ -71,6 +71,14 @@ class TestReadImsFile:
         assert "2004.02.12.10.32.39" in str(excinfo.value)
         assert "line 3" in str(excinfo.value)
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    def test_non_utf8_line_counts_every_line_end(self, tmp_path, end):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(end.join([b"1", b"2", b"\xff", b""]))
+        with pytest.raises(SignalParseError, match="line 3 is not UTF-8") as excinfo:
+            read_ims_file(path, 20000.0)
+        assert excinfo.value.line == 3
+
     def test_byte_order_mark_is_not_a_header(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_bytes(b"\xef\xbb\xbf1.5\t2.0\n3.0\t4.0\n")
@@ -204,6 +212,17 @@ class TestIterateRunToFailure:
         make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=2, seed=5)
         with pytest.raises(ValueError, match="channel 5"):
             iterate_run_to_failure(tmp_path, 5, 20000.0)
+
+    def test_unusable_channel_cites_the_file_errors(self, tmp_path):
+        # Every file parses and has channel 0, but none gives a signal on it.
+        (tmp_path / "2004.02.12.10.32.39").write_text("0.1\t0.2\nnan\t0.4\n")
+        (tmp_path / "2004.02.12.10.42.39").write_text("0.1\t0.2\n")
+        with pytest.raises(ValueError) as excinfo:
+            iterate_run_to_failure(tmp_path, 0, 20000.0)
+        message = str(excinfo.value)
+        assert "out of range" not in message
+        assert "2004.02.12.10.32.39: sample row 2 of channel 0 is nan" in message
+        assert "2004.02.12.10.42.39: signal needs at least 2 samples" in message
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

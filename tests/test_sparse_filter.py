@@ -261,7 +261,7 @@ class TestFitMed:
 @pytest.mark.parametrize("n, l", [(64, 2), (64, 32), (101, 2), (101, 50), (4096, 2048)])
 def test_gram_factor_is_the_cholesky_factor_of_the_ridged_gram_matrix(n, l):
     y = np.random.default_rng(n + l).standard_normal(n)
-    factor = sparse_filter._gram_factor(y, _correlator(y), l)
+    factor = sparse_filter._gram_factor(y, _correlator(y, l), l)
     windows = np.lib.stride_tricks.sliding_window_view(y, l)
     gram = windows.T @ windows
     trace = np.trace(gram)
