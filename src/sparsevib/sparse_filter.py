@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpptrs
 from scipy.optimize import minimize
 
 from .core_signal import _correlator, _validated_filter
@@ -75,10 +75,12 @@ def _solver_blas_threads():
 # waits for it, so a fit slows by half or more whenever another process
 # wants that core.  The solver therefore runs with its OpenBLAS on one
 # thread; each right-hand side is solved on its own, so its result does
-# not change.  MED needs no pin: its factor, from ``_gram_factor``, uses
-# no BLAS, and each of its solves has one right-hand side, which OpenBLAS
-# does not split.  Parallelism comes from running snapshots side by side
-# (``pipeline.two_branch_features``), never from inside one fit.
+# not change.  MED needs no pin: its packed factor, from ``_gram_factor``
+# (``l (l + 1) / 2`` doubles, 64 MiB at ``l = 4096``), uses no BLAS, and
+# each of its solves (``dpptrs``) is two packed triangular solves with one
+# right-hand side each, which OpenBLAS does not split.  Parallelism comes
+# from running snapshots side by side (``pipeline.two_branch_features``),
+# never from inside one fit.
 # The previous count is restored when the last concurrent fit returns.
 _SOLVER_THREADS = _solver_blas_threads()
 _solver_lock = threading.Lock()
@@ -315,7 +317,7 @@ def _rotate(a, b):
 
 
 def _gram_factor(y, correlate, l):
-    """Lower Cholesky factor of MED's ridged normal-equation matrix.
+    """Lower Cholesky factor of MED's ridged normal-equation matrix, packed.
 
     The matrix is ``A = Y^T Y + delta I``, with ``A[j,k] = sum_i y[i+j] y[i+k]``
     over the ``m = N - l + 1`` valid windows and ``delta`` a small ridge
@@ -331,9 +333,11 @@ def _gram_factor(y, correlate, l):
     at a time, in O(l^2), without forming ``A``.  Each step rotates the
     generator until only ``u`` has a top entry (a Givens rotation within
     each sign, then a hyperbolic rotation in mixed form, which keeps it
-    stable); ``u`` is then the next column of the factor.  Only elementwise
-    numpy and scalar arithmetic are used, so no BLAS thread count can
-    change the factor.
+    stable); ``u`` is then the next column of the factor, from the diagonal
+    down.  The columns follow each other in LAPACK's packed lower storage,
+    one array of ``l (l + 1) / 2`` doubles (64 MiB at ``l = 4096``).  Only
+    elementwise numpy and scalar arithmetic are used, so no BLAS thread
+    count can change the factor.
     """
     m = y.size - l + 1
     energy = np.concatenate(([0.0], np.cumsum(y * y)))
@@ -348,7 +352,8 @@ def _gram_factor(y, correlate, l):
     p = np.concatenate(([0.0], y[m : m + l - 1]))  # samples the windows gain one step down
     q = np.concatenate(([0.0], y[: l - 1]))  # and the samples they lose
 
-    factor = np.zeros((l, l), order="F")
+    factor = np.empty(l * (l + 1) // 2)
+    start = 0  # column k's offset in the packed factor
     for k in range(l):
         u, p = _rotate(u, p)
         v, q = _rotate(v, q)
@@ -358,7 +363,8 @@ def _gram_factor(y, correlate, l):
         s = math.sqrt((1.0 - rho) * (1.0 + rho))
         u = (u - rho * v) / s
         v = s * v - rho * u
-        factor[k:, k] = u if u[0] > 0.0 else -u
+        factor[start : start + l - k] = u if u[0] > 0.0 else -u
+        start += l - k
         u, p, v, q = u[:-1], p[1:], v[1:], q[1:]
     return factor
 
@@ -368,10 +374,12 @@ def fit_med(signal, config=None):
 
     Fixed-point iteration on the normal equations ``A . w_new = b`` with
     ``A`` the lag-0..l-1 autocorrelation matrix of the input over the
-    valid windows and ``b_j = sum_i f_i^3 y_{i+j-1}``; the new filter is
-    renormalized each pass.  Stops when the filter change drops below
-    ``gradient_tolerance`` or the iteration cap is hit.  The negative
-    output kurtosis is appended to ``cost_history`` per pass.
+    valid windows and ``b_j = sum_i f_i^3 y_{i+j-1}``, solved by LAPACK's
+    ``dpptrs`` with ``A``'s packed Cholesky factor (``l (l + 1) / 2``
+    doubles, 64 MiB at ``l = 4096``); the new filter is renormalized each
+    pass.  Stops when the filter change drops below ``gradient_tolerance``
+    or the iteration cap is hit.  The negative output kurtosis is appended
+    to ``cost_history`` per pass.
     """
     config = config or CsfConfig()
     y = _check_fit_inputs(signal, config)
@@ -393,7 +401,9 @@ def fit_med(signal, config=None):
 
         for _ in range(config.max_iterations):
             b = correlate(f**3)
-            w_new = cho_solve((factor, True), b, check_finite=False)
+            w_new, info = dpptrs(l, factor, b, lower=1, overwrite_b=1)
+            if info != 0:
+                raise NumericalFailureError(f"MED solve failed (LAPACK dpptrs info={info})")
             norm = np.linalg.norm(w_new)
             if not np.isfinite(norm) or norm == 0.0:
                 raise NumericalFailureError("MED iteration produced a degenerate filter")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevib import CsfConfig, FaultSimConfig, gaussian_with_outlier, pipeline
+from sparsevib import CsfConfig, FaultSimConfig, gaussian_with_outlier, pipeline, sparse_filter
 from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
                            build_parser, main)
 
@@ -125,6 +125,14 @@ class TestFilter:
                     "-o", str(tmp_path / "f.csv")])
         assert code == 1
         assert "MED" in capsys.readouterr().err
+
+    def test_med_solve_failure_names_the_file(self, sim_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sparse_filter, "dpptrs", lambda n, ap, b, **kwargs: (b, -1))
+        code = run(["filter", "--input", str(sim_csv), "--method", "med",
+                    "--filter-length", "64", "-o", str(tmp_path / "med.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: signal.csv: MED solve failed (LAPACK dpptrs info=-1)\n")
 
     def test_sample_rate_from_sidecar(self, sim_csv, tmp_path):
         # no --sample-rate flag: the simulate sidecar supplies it
@@ -464,6 +472,23 @@ def test_non_finite_sample_names_file_and_row(tmp_path, capsys, command):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: sig.txt: sample row 5 of channel 0 is nan, not a finite number\n")
+
+
+@pytest.mark.parametrize("argv, samples, message", [
+    (["filter", "--filter-length", "16"], [1.0, 2.0], "filter_length 16 exceeds N/2 for N=2"),
+    (["filter", "--method", "med", "--filter-length", "8"], [1.5] * 64,
+     "cannot fit a filter to a constant signal"),
+    (["features", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"],
+     np.random.default_rng(0).standard_normal(64).tolist(),
+     "search band extends past the available signal length"),
+])
+def test_fit_and_feature_errors_name_the_file(tmp_path, capsys, argv, samples, message):
+    record = tmp_path / "rec.csv"
+    record.write_text("sample\n" + "".join(f"{x!r}\n" for x in samples))
+    code = run([*argv, "--input", str(record), "--sample-rate", "20000",
+                "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: rec.csv: {message}\n"
 
 
 def write_manifest(tmp_path, signals):

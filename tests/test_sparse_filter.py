@@ -14,6 +14,7 @@ from sparsevib import sparse_filter
 from sparsevib import (
     CsfConfig,
     DegenerateInputError,
+    NumericalFailureError,
     Signal,
     convolve_valid,
     csf_cost,
@@ -223,8 +224,14 @@ class TestFitMed:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One l x l matrix; a copy for the factor would double it.
-        assert peak < 1.5 * l * l * 8
+        # The packed factor is l (l + 1) / 2 doubles, about half an l x l
+        # matrix; a dense l x l factor would exceed this bound.
+        assert peak < 0.75 * l * l * 8
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(sparse_filter, "dpptrs", lambda n, ap, b, **kwargs: (b, -1))
+        with pytest.raises(NumericalFailureError, match="dpptrs info=-1"):
+            fit_med(gaussian_with_outlier(1024, 8.0, seed=0), CsfConfig(filter_length=16))
 
     def test_matches_a_dense_cholesky_reference(self):
         sig = gaussian_with_outlier(4096, 8.0, seed=0)
@@ -261,15 +268,21 @@ class TestFitMed:
 @pytest.mark.parametrize("n, l", [(64, 2), (64, 32), (101, 2), (101, 50), (4096, 2048)])
 def test_gram_factor_is_the_cholesky_factor_of_the_ridged_gram_matrix(n, l):
     y = np.random.default_rng(n + l).standard_normal(n)
-    factor = sparse_filter._gram_factor(y, _correlator(y, l), l)
+    packed = sparse_filter._gram_factor(y, _correlator(y, l), l)
+    assert packed.shape == (l * (l + 1) // 2,)
+    assert packed.flags.c_contiguous
+    # LAPACK's packed lower storage runs down each column from the diagonal:
+    # (0,0), (1,0), ..., (l-1,0), (1,1), ..., the transpose of numpy's
+    # row-major order for the upper triangle.
+    cols, rows = np.triu_indices(l)
+    factor = np.zeros((l, l))
+    factor[rows, cols] = packed
     windows = np.lib.stride_tricks.sliding_window_view(y, l)
     gram = windows.T @ windows
     trace = np.trace(gram)
     gram[np.diag_indices(l)] += 1e-8 * trace / l
     assert np.allclose(factor @ factor.T, gram, rtol=0, atol=1e-12 * trace)
-    assert factor.flags.f_contiguous
     assert np.all(np.diag(factor) > 0)
-    assert not np.any(np.triu(factor, k=1))
 
 
 # One IMS-length snapshot, fitted and described, and one MED fit at l = N/2,
