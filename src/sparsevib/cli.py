@@ -30,7 +30,7 @@ from .features import (
     fault_frequencies,
 )
 from .health_models import SomConfig
-from .ingest import iterate_run_to_failure, read_ims_file, read_manifest, write_ims_file
+from .ingest import RunToFailureFiles, read_ims_file, read_manifest, write_ims_file
 from .pipeline import (
     DEFAULT_ASSESS_SOM,
     assess_sequence,
@@ -241,6 +241,8 @@ def _fit_summary(fits):
         "iterations": {"min": min(iterations), "median": statistics.median(iterations),
                        "max": max(iterations)},
         "not_converged": [i for i, fit in enumerate(fits, start=1) if not fit.converged],
+        "initial_cost": [fit.initial_cost for fit in fits],
+        "final_cost": [fit.final_cost for fit in fits],
     }
 
 
@@ -349,10 +351,8 @@ def cmd_assess(args):
     if args.input_dir:
         if args.channel is None:
             raise ValueError("--channel is required with --input-dir")
-        sequence = iterate_run_to_failure(args.input_dir, args.channel, args.sample_rate_hz)
-        signals = sequence.signals
-        source = {"input_dir": str(args.input_dir), "channel": args.channel,
-                  "parse_errors": sequence.errors}
+        signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
+        source = {"input_dir": str(args.input_dir), "channel": args.channel}
     else:
         base = _config_from_args(FaultSimConfig, args, fault_components=("outer",))
         signals = make_degradation_sequence(args.n_files, args.onset, base)
@@ -362,6 +362,8 @@ def cmd_assess(args):
     som_config = _som_config_from_args(args)
     report = assess_sequence(signals, faults, csf_config, som_config,
                              n_train=args.n_train, band_fraction=args.band_fraction)
+    if args.input_dir:
+        source["parse_errors"] = report.parse_errors
 
     out = _out_path(args.output)
     with open(out, "w") as fh:

@@ -192,7 +192,11 @@ def hilbert_envelope(signal):
     h = np.zeros(n)
     h[: n // 2 + 1] = 1.0
     h[1 : (n + 1) // 2] = 2.0
-    env = np.abs(sp_fft.ifft(sp_fft.fft(signal.samples) * h))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        env = np.abs(sp_fft.ifft(sp_fft.fft(signal.samples) * h))
+    if not np.isfinite(env).all():
+        raise ValueError("envelope overflowed at this amplitude (largest |sample| "
+                         f"{np.abs(signal.samples).max():.3g})")
     return Signal(env, signal.sample_rate_hz)
 
 

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,10 @@ __all__ = [
     "read_ims_file",
     "write_ims_file",
     "iterate_run_to_failure",
+    "RunToFailureFiles",
     "RunToFailureSequence",
+    "Skipped",
+    "SnapshotSignals",
     "read_manifest",
 ]
 
@@ -173,7 +177,7 @@ def write_ims_file(path, channels, header=None):
 class RunToFailureSequence:
     """Chronologically ordered signals plus per-file failure notes."""
 
-    signals: list
+    signals: list  # each file's Signal, or what the caller of ``sequence`` made of it
     paths: list
     errors: list  # (path, message) for files that failed to parse
 
@@ -181,64 +185,124 @@ class RunToFailureSequence:
         return len(self.signals)
 
 
+class Skipped(NamedTuple):
+    """Why a snapshot file gives no signal; ``n_channels`` is None when the file did not parse."""
+
+    message: str
+    n_channels: int | None
+
+
+class RunToFailureFiles:
+    """The snapshot files of a run-to-failure directory, in filename-timestamp order, unread.
+
+    Constructing it lists the directory and notes each file whose name does
+    not parse as a timestamp in ``errors``.  ``files[i]`` reads file ``i``:
+    its ``channel`` as a :class:`Signal`, or a :class:`Skipped` that says why
+    it gives none.  So each file can be read where it is used (``pipeline``
+    reads it on the CPU that fits it), and :meth:`sequence` applies the
+    skip rules to what came back.
+    """
+
+    def __init__(self, directory, channel, sample_rate_hz):
+        self.directory = Path(directory)
+        self.channel = channel
+        self.sample_rate_hz = sample_rate_hz
+        entries = sorted(p for p in self.directory.iterdir() if p.is_file())
+        if not entries:
+            raise FileNotFoundError(f"no files found in {self.directory}")
+        stamped, self.errors = [], []
+        for path in entries:
+            ts = _parse_timestamp(path)
+            if ts is None:
+                self.errors.append((str(path), "filename does not encode a timestamp"))
+                continue
+            stamped.append((ts, path))
+        stamped.sort(key=lambda item: (item[0], item[1].name))
+        self.paths = [path for _, path in stamped]
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        path = self.paths[i]
+        try:
+            snapshot = read_ims_file(path, self.sample_rate_hz)
+        except (ValueError, OSError) as exc:
+            return Skipped(str(exc), None)
+        try:
+            return snapshot.channel_signal(self.channel)
+        except ValueError as exc:
+            return Skipped(str(exc), snapshot.n_channels)
+
+    def sequence(self, outcomes):
+        """The files that gave a signal, given ``outcomes[i]``: ``files[i]``, or what was made of it.
+
+        A :class:`Skipped` outcome is recorded in ``errors``, after the
+        names that are not timestamps, and left out.  When no file gives a
+        signal, ``ValueError`` says why: the ``channel`` is out of range in
+        every parsed file, or it cites their errors (a non-finite sample,
+        too few rows).
+        """
+        signals, paths, errors = [], [], list(self.errors)
+        unusable = []  # the Skipped of each file that parsed
+        for path, outcome in zip(self.paths, outcomes):
+            if isinstance(outcome, Skipped):
+                errors.append((str(path), outcome.message))
+                if outcome.n_channels is not None:
+                    unusable.append(outcome)
+            else:
+                signals.append(outcome)
+                paths.append(path)
+        if unusable and not signals:
+            if all(not 0 <= self.channel < width for _, width in unusable):
+                raise ValueError(f"channel {self.channel} is out of range in all {len(unusable)} "
+                                 f"parseable snapshots in {self.directory}")
+            more = f"; and {len(unusable) - 3} more" if len(unusable) > 3 else ""
+            raise ValueError(f"no parseable snapshot in {self.directory} gives a signal on channel "
+                             f"{self.channel}: " + "; ".join(e for e, _ in unusable[:3]) + more)
+        if not signals:
+            raise FileNotFoundError(f"no parseable snapshot files in {self.directory}")
+        return RunToFailureSequence(signals=signals, paths=paths, errors=errors)
+
+
 def iterate_run_to_failure(directory, channel, sample_rate_hz):
-    """Read every snapshot in a directory in filename-timestamp order.
+    """Read every snapshot in a directory in filename-timestamp order, one after another.
 
     Files whose names do not parse as timestamps, or whose contents fail
-    to parse, are recorded in ``errors`` and skipped; iteration continues.
-    When no parsed file gives a signal, ``ValueError`` says why: the
-    ``channel`` is out of range in every one, or it cites their errors
-    (a non-finite sample, too few rows).  The sequence index of the result
-    is the chronological "test file No.".
+    to parse, are recorded in ``errors`` and skipped; iteration continues
+    (see :class:`RunToFailureFiles`).  The sequence index of the result is
+    the chronological "test file No.".
     """
-    directory = Path(directory)
-    entries = sorted(p for p in directory.iterdir() if p.is_file())
-    if not entries:
-        raise FileNotFoundError(f"no files found in {directory}")
+    files = RunToFailureFiles(directory, channel, sample_rate_hz)
+    return files.sequence([files[i] for i in range(len(files))])
 
-    stamped, errors = [], []
-    for path in entries:
-        ts = _parse_timestamp(path)
-        if ts is None:
-            errors.append((str(path), "filename does not encode a timestamp"))
-            continue
-        stamped.append((ts, path))
-    stamped.sort(key=lambda item: (item[0], item[1].name))
 
-    signals, paths, unusable = [], [], []  # unusable: (channel count, error) per parsed file
-    for _, path in stamped:
-        try:
-            snapshot = read_ims_file(path, sample_rate_hz)
-        except (ValueError, OSError) as exc:
-            errors.append((str(path), str(exc)))
-            continue
-        try:
-            signals.append(snapshot.channel_signal(channel))
-        except ValueError as exc:
-            errors.append((str(path), str(exc)))
-            unusable.append((snapshot.n_channels, str(exc)))
-        else:
-            paths.append(path)
-    if unusable and not signals:
-        if all(not 0 <= channel < width for width, _ in unusable):
-            raise ValueError(f"channel {channel} is out of range in all {len(unusable)} "
-                             f"parseable snapshots in {directory}")
-        more = f"; and {len(unusable) - 3} more" if len(unusable) > 3 else ""
-        raise ValueError(f"no parseable snapshot in {directory} gives a signal on channel "
-                         f"{channel}: " + "; ".join(e for _, e in unusable[:3]) + more)
-    if not signals:
-        raise FileNotFoundError(f"no parseable snapshot files in {directory}")
-    return RunToFailureSequence(signals=signals, paths=paths, errors=errors)
+class SnapshotSignals:
+    """Channel 0 of each file in ``paths``, read only when indexed: ``signals[i]`` reads file ``i``.
+
+    A read or channel error is raised as it is and names the file.
+    """
+
+    def __init__(self, paths, sample_rate_hz):
+        self.paths = paths
+        self.sample_rate_hz = sample_rate_hz
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        return read_ims_file(self.paths[i], self.sample_rate_hz).channel_signal(0)
 
 
 def read_manifest(path, sample_rate_hz):
-    """Channel 0 of each snapshot in a classify manifest of ``path,label`` lines, and its label.
+    """The snapshots of a classify manifest of ``path,label`` lines, unread, and their labels.
 
     Paths are relative to the manifest; line 1 is a header when it starts
-    with ``path``.  A malformed line raises :class:`SignalParseError` at it.
+    with ``path``.  A malformed line raises :class:`SignalParseError` at it,
+    before any snapshot is read.  The signals are a :class:`SnapshotSignals`.
     """
     path = Path(path)
-    signals, labels = [], []
+    paths, labels = [], []
     for line_no, stripped in _lines(_read_text(path)):
         if line_no == 1 and stripped.lower().startswith("path"):
             continue
@@ -247,8 +311,8 @@ def read_manifest(path, sample_rate_hz):
         except ValueError:
             raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
                                    line=line_no) from None
-        signals.append(read_ims_file(path.parent / file_path, sample_rate_hz).channel_signal(0))
+        paths.append(path.parent / file_path)
         labels.append(label)
-    if not signals:
+    if not paths:
         raise SignalParseError(f"{path}: empty manifest")
-    return LabeledDataset(signals=signals, labels=labels)
+    return LabeledDataset(signals=SnapshotSignals(paths, sample_rate_hz), labels=labels)

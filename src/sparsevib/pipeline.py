@@ -25,10 +25,12 @@ from .health_models import (
     som_train,
     vat_order,
 )
+from .ingest import RunToFailureFiles, Skipped
 from .sparse_filter import csf_cost, csf_gradient, fit_med, fit_simplified_csf
 
 __all__ = [
     "filter_signal",
+    "SnapshotFit",
     "two_branch_features",
     "BranchAssessment",
     "AssessmentReport",
@@ -58,17 +60,42 @@ def filter_signal(signal, config=None, method="csf"):
     raise ValueError(f"unknown filter method {method!r}")
 
 
+@dataclass
+class SnapshotFit:
+    """What one unit of work sends back: both feature rows and how the snapshot's fit went."""
+
+    raw: np.ndarray  # features of the input
+    filtered: np.ndarray  # features of the sparse-filter output
+    iterations: int
+    converged: bool
+    initial_cost: float
+    final_cost: float
+
+
+class _FitFailed(Exception):
+    """The fit or a feature extraction of a snapshot raised ``args[0]``; the caller names it."""
+
+
 def _snapshot(signals, i, faults, config, band_fraction):
-    """Snapshot ``i``'s raw features, fit and filtered features; an error names the snapshot."""
+    """Snapshot ``i``'s raw features, fit and filtered features, as one :class:`SnapshotFit`.
+
+    ``signals[i]`` reads the file when ``signals`` is an ``ingest`` sequence,
+    so the read runs on the CPU that fits it; a read error is raised as it
+    is, and a :class:`Skipped` file comes back as it is.
+    """
     signal = signals[i]
+    if isinstance(signal, Skipped):
+        return signal
     try:
         raw = extract_feature_vector(signal, faults, band_fraction).as_array()
         fit = fit_simplified_csf(signal, config)
         enhanced = Signal(fit.filtered, signal.sample_rate_hz)
-        return raw, fit, extract_feature_vector(enhanced, faults, band_fraction).as_array()
+        filtered = extract_feature_vector(enhanced, faults, band_fraction).as_array()
     except Exception as exc:
-        exc.args = (f"snapshot {i + 1}: {exc}",)
-        raise
+        raise _FitFailed(exc) from None
+    return SnapshotFit(raw=raw, filtered=filtered, iterations=fit.iterations,
+                       converged=fit.converged, initial_cost=float(fit.cost_history[0]),
+                       final_cost=float(fit.cost_history[-1]))
 
 
 def _claim(counter, n):
@@ -92,7 +119,7 @@ def _run_claimed(work, counter, n):
     while (i := _claim(counter, n)) is not None:
         try:
             results[i] = work(i)
-        except Exception as exc:  # raised by _fan_out once every process is done
+        except Exception as exc:  # returned by _fan_out once every process is done
             errors[i] = exc
             with counter.get_lock():
                 counter.value = n
@@ -105,7 +132,10 @@ def _helper(sender, work, counter, n):
 
 
 def _fan_out(work, n):
-    """``[work(i) for i in range(n)]``, or the error of the lowest ``i`` that failed.
+    """``(results, error)``: ``work(i)`` for every ``i`` below the lowest that failed, and its error.
+
+    With no failure, ``results`` is ``[work(i) for i in range(n)]`` and
+    ``error`` is None.
 
     The items run on the CPUs in this process's affinity mask: this process
     and ``count - 1`` forked helpers each claim the next item, one at a
@@ -146,26 +176,46 @@ def _fan_out(work, n):
             receiver.close()
         for process in processes:
             process.join()
-    if errors:
-        raise errors[min(errors)]
-    return [results[i] for i in range(n)]
+    first = min(errors, default=n)
+    return [results[i] for i in range(first)], errors.get(first)
+
+
+def _fit_snapshots(signals, faults, csf_config, band_fraction):
+    """``_snapshot`` of every snapshot, fanned out over the CPUs (see ``_fan_out``).
+
+    None of them depends on the process that runs it, so neither do the
+    results.  When snapshots fail, the error of the lowest-numbered one is
+    raised, whatever the CPU count or the stage that failed.  An error of a
+    fit or a feature extraction says ``snapshot k:``, with ``k`` the
+    snapshot's 1-based place among those that gave a signal.
+    """
+    fits, error = _fan_out(
+        lambda i: _snapshot(signals, i, faults, csf_config, band_fraction), len(signals)
+    )
+    if isinstance(error, _FitFailed):
+        [error] = error.args
+        k = 1 + sum(isinstance(fit, SnapshotFit) for fit in fits)
+        error.args = (f"snapshot {k}: {error}",)
+    if error is not None:
+        raise error
+    return fits
+
+
+def _feature_matrices(fits):
+    """The raw-branch and filtered-branch feature matrices of ``fits``, one row per snapshot."""
+    return (FeatureMatrix(values=np.vstack([fit.raw for fit in fits]), feature_names=FEATURE_NAMES),
+            FeatureMatrix(values=np.vstack([fit.filtered for fit in fits]),
+                          feature_names=FEATURE_NAMES))
 
 
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
-    """Raw-branch and filtered-branch feature matrices, and the fits behind the filtered one.
+    """Raw-branch and filtered-branch feature matrices, and the :class:`SnapshotFit` of each signal.
 
-    Each snapshot's features and fit run together on one CPU (see
-    ``_fan_out``); none depends on the process that runs it, so neither do
-    the results.  When snapshots fail, the error of the lowest-numbered one
-    is raised, whatever the CPU count or the stage that failed, and its
-    message names the snapshot.
+    ``signals`` is a list of Signals or an ``ingest.SnapshotSignals``; see
+    ``_fit_snapshots``.
     """
-    raw, fits, filtered = zip(*_fan_out(
-        lambda i: _snapshot(signals, i, faults, csf_config, band_fraction), len(signals)
-    ))
-    return (FeatureMatrix(values=np.vstack(raw), feature_names=FEATURE_NAMES),
-            FeatureMatrix(values=np.vstack(filtered), feature_names=FEATURE_NAMES),
-            list(fits))
+    fits = _fit_snapshots(signals, faults, csf_config, band_fraction)
+    return (*_feature_matrices(fits), fits)
 
 
 @dataclass
@@ -181,7 +231,8 @@ class AssessmentReport:
     raw: BranchAssessment
     filtered: BranchAssessment
     n_train: int
-    fits: list  # the CsfResult of each snapshot
+    fits: list  # the SnapshotFit of each snapshot
+    parse_errors: list  # (path, message) for each file of a run that gave no signal
 
 
 def _assess_branch(matrix, n_train, som_config):
@@ -196,6 +247,11 @@ def _assess_branch(matrix, n_train, som_config):
     return BranchAssessment(mqe=mqe, threshold=threshold, alarm_index=alarm_index, model=model)
 
 
+def _require_snapshots(count, n_train):
+    if count < n_train + 1:
+        raise ValueError(f"need at least {n_train + 1} snapshots, got {count}")
+
+
 def assess_sequence(
     signals,
     faults,
@@ -208,21 +264,30 @@ def assess_sequence(
 
     Trains one map per branch on the first ``n_train`` snapshots and scores
     every snapshot against it.  The alarm threshold is mean + 6 std of the
-    training MQEs.
+    training MQEs.  ``signals`` is a list of Signals or an
+    ``ingest.RunToFailureFiles``, whose files are each read by the unit of
+    work that fits them; the files that give no signal are left out and
+    listed in ``parse_errors``.
     """
     if n_train < 2:
         raise ValueError(f"n_train must be at least 2, got {n_train}")
-    if len(signals) < n_train + 1:
-        raise ValueError(f"need at least {n_train + 1} snapshots, got {len(signals)}")
+    run = isinstance(signals, RunToFailureFiles)
+    if not run:  # a run's file count only bounds its signals from above
+        _require_snapshots(len(signals), n_train)
     som_config = som_config or DEFAULT_ASSESS_SOM
-    raw_matrix, filtered_matrix, fits = two_branch_features(
-        signals, faults, csf_config, band_fraction
-    )
+    fits = _fit_snapshots(signals, faults, csf_config, band_fraction)
+    parse_errors = []
+    if run:
+        sequence = signals.sequence(fits)
+        fits, parse_errors = sequence.signals, sequence.errors
+        _require_snapshots(len(fits), n_train)
+    raw_matrix, filtered_matrix = _feature_matrices(fits)
     return AssessmentReport(
         raw=_assess_branch(raw_matrix, n_train, som_config),
         filtered=_assess_branch(filtered_matrix, n_train, som_config),
         n_train=n_train,
         fits=fits,
+        parse_errors=parse_errors,
     )
 
 
@@ -240,7 +305,7 @@ class ClassificationReport:
     raw: BranchClassification
     filtered: BranchClassification
     labels: list
-    fits: list  # the CsfResult of each signal
+    fits: list  # the SnapshotFit of each signal
 
 
 def _classify_branch(matrix, labels, k, n_restarts, seed):

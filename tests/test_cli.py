@@ -33,6 +33,9 @@ def check_filter_fits(block, count):
     assert block["converged"] + len(block["not_converged"]) == count
     its = block["iterations"]
     assert 0 <= its["min"] <= its["median"] <= its["max"]
+    assert len(block["initial_cost"]) == len(block["final_cost"]) == count
+    assert all(1 <= final <= initial
+               for initial, final in zip(block["initial_cost"], block["final_cost"]))
 
 
 @contextlib.contextmanager
@@ -464,7 +467,8 @@ class TestClassify:
 @pytest.mark.parametrize("command", ["filter", "classify"])
 def test_non_finite_sample_names_file_and_row(tmp_path, capsys, command):
     (tmp_path / "sig.txt").write_text("sample\n" + "1.0\n" * 4 + "nan\n" + "2.0\n" * 4)
-    (tmp_path / "runs.csv").write_text("sig.txt,outer\n")
+    # Two classes: a one-class manifest is rejected before any record is read.
+    (tmp_path / "runs.csv").write_text("sig.txt,outer\nsig.txt,normal\n")
     argv = {"filter": ["filter", "--input", str(tmp_path / "sig.txt"), "--filter-length", "2"],
             "classify": ["classify", "--manifest", str(tmp_path / "runs.csv"),
                          "--bpfo", "100", "--bpfi", "160", "--bsf", "70"]}[command]
@@ -481,7 +485,11 @@ def test_non_finite_sample_names_file_and_row(tmp_path, capsys, command):
     (["features", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"],
      np.random.default_rng(0).standard_normal(64).tolist(),
      "search band extends past the available signal length"),
+    (["features", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"],  # finite, near the limit
+     [-1.71e308, *np.random.default_rng(0).standard_normal(4095).tolist()],
+     "envelope overflowed at this amplitude (largest |sample| 1.71e+308)"),
 ])
+@pytest.mark.filterwarnings("error")  # no numpy warning on the way
 def test_fit_and_feature_errors_name_the_file(tmp_path, capsys, argv, samples, message):
     record = tmp_path / "rec.csv"
     record.write_text("sample\n" + "".join(f"{x!r}\n" for x in samples))
@@ -565,6 +573,97 @@ class TestCpuCount:
         err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
                                               "--filter-length", "200")
         assert err == "error: snapshot 5: filter_length 200 exceeds N/2 for N=300\n"
+
+
+def fake_affinity(monkeypatch, n_cpus):
+    """Make the fan-out see ``n_cpus`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+
+
+def write_run(data, lengths):
+    """A run-to-failure directory: 2-channel snapshots of ``lengths`` (at most 4096) samples.
+
+    Three more files are skipped on channel 1: one that does not parse
+    (after snapshot 1), one with a single channel (after snapshot 2) and
+    one whose name is not a timestamp.
+    """
+    from sparsevib import simulate_bearing_fault, write_ims_file
+
+    data.mkdir()
+    rng = np.random.default_rng(2)
+    for k, n in enumerate(lengths):
+        signal = simulate_bearing_fault(FaultSimConfig(
+            fault_components=("outer",), snr_db=0.0, n_samples=4096, damping_rate=2000.0, seed=k))
+        write_ims_file(data / f"2004.02.12.10.{k:02d}.39",
+                       np.column_stack([rng.standard_normal(n), signal.samples[:n]]))
+    (data / "2004.02.12.10.00.40").write_text("0.1\tx\n")
+    write_ims_file(data / "2004.02.12.10.01.40", rng.standard_normal((4096, 1)))
+    (data / "notes.txt").write_text("not a snapshot\n")
+    return data
+
+
+class TestReadInTheUnit:
+    """``assess --input-dir`` and ``classify --manifest`` read each file in the unit that fits it."""
+
+    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
+
+    def assess(self, data, out, *flags):
+        return run(["assess", "--input-dir", str(data), "--channel", "1", *self.FAULTS,
+                    *flags, "-o", str(out)])
+
+    def test_input_dir_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        from sparsevib import iterate_run_to_failure
+
+        data = write_run(tmp_path / "data", [4096] * 7)
+        outputs = []
+        for n_cpus in (1, 2, 3):
+            fake_affinity(monkeypatch, n_cpus)
+            out = tmp_path / f"mqe{n_cpus}.csv"
+            assert self.assess(data, out, "--n-train", "4", "--som-epochs", "10",
+                               "--filter-length", "32") == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert len(outputs[0][0].decode().splitlines()) == 1 + 7
+        report = json.loads(outputs[0][1])
+        jsonschema.validate(report, load_schema("report_assess.schema.json"))
+        check_filter_fits(report["filter_fits"], 7)
+        errors = iterate_run_to_failure(data, 1, 20000.0).errors
+        assert len(errors) == 3
+        assert report["source"]["parse_errors"] == [list(error) for error in errors]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_fit_error_names_the_place_among_parsed_files(self, tmp_path, capsys, monkeypatch,
+                                                          n_cpus):
+        # Snapshot 3 is the 5th timestamped file: two skipped files come before it.
+        data = write_run(tmp_path / "data", [4096, 4096, 300, 4096, 300, 4096])
+        fake_affinity(monkeypatch, n_cpus)
+        assert self.assess(data, tmp_path / "mqe.csv", "--n-train", "3",
+                           "--filter-length", "200") == 1
+        assert capsys.readouterr().err == (
+            "error: snapshot 3: filter_length 200 exceeds N/2 for N=300\n")
+
+    def test_manifest_errors(self, tmp_path, capsys, monkeypatch):
+        from sparsevib import ingest
+
+        manifest = write_manifest(tmp_path, taxonomy_signals(4))
+        lines = manifest.read_text().splitlines()
+        lines.insert(3, "missing.txt,outer")  # the third record
+        argv = ["classify", "--manifest", str(manifest), "--sample-rate", "20000",
+                *self.FAULTS, "--filter-length", "50", "-o", str(tmp_path / "cls")]
+        reads, read = [], ingest.read_ims_file
+        monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
+
+        manifest.write_text("\n".join([*lines, "no-label-here"]) + "\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: manifest.csv: line 7: expected 'path,label'\n"
+        assert reads == []  # no record was read
+
+        manifest.write_text("\n".join(lines) + "\n")
+        for n_cpus in (1, 2):
+            fake_affinity(monkeypatch, n_cpus)
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.txt'}'\n")
 
 
 def _perfbench_workloads():

@@ -22,8 +22,10 @@ from sparsevib import (
     make_degradation_sequence,
     simulate_bearing_fault,
     two_branch_features,
+    write_ims_file,
 )
-from sparsevib import pipeline
+from sparsevib import ingest, pipeline
+from sparsevib.ingest import RunToFailureFiles
 from sparsevib.simulate import LabeledDataset
 
 FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
@@ -70,6 +72,13 @@ def serial_snapshots(signals, config):
     return np.vstack(raw), fits, np.vstack(filtered)
 
 
+def fit_record(fit):
+    """What a report reads of a fit: a ``CsfResult``'s or a ``SnapshotFit``'s."""
+    if isinstance(fit, pipeline.SnapshotFit):
+        return fit.iterations, fit.converged, fit.initial_cost, fit.final_cost
+    return fit.iterations, fit.converged, fit.cost_history[0], fit.cost_history[-1]
+
+
 class TestFitSignals:
     """Each snapshot's features and fit, fanned out over the CPUs by ``two_branch_features``."""
 
@@ -84,11 +93,7 @@ class TestFitSignals:
         raw, filtered, results = two_branch_features(signals, FAULTS, config)
         assert np.array_equal(raw.values, want_raw)
         assert np.array_equal(filtered.values, want_filtered)
-        assert len(results) == len(expected)
-        for got, want in zip(results, expected):
-            for name in ("w", "filtered", "cost_history"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert [fit_record(got) for got in results] == [fit_record(want) for want in expected]
 
     def test_the_caller_extracts_only_its_share_of_the_features(self, monkeypatch):
         calls, extract = [], pipeline.extract_feature_vector
@@ -102,6 +107,23 @@ class TestFitSignals:
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
         two_branch_features(signals, FAULTS, FAST_CSF)
         assert 2 <= len(calls) < 2 * len(signals)
+
+    def test_the_caller_reads_only_its_share_of_the_files(self, monkeypatch, tmp_path):
+        calls, read = [], ingest.read_ims_file
+
+        def counted_read(*args):
+            calls.append(1)  # only calls in this process are seen
+            return read(*args)
+
+        for k in range(6):
+            samples = simulate_bearing_fault(replace(FAST_SIM, seed=k)).samples
+            write_ims_file(tmp_path / f"2004.02.12.10.{k:02d}.39", samples[:, None])
+        monkeypatch.setattr(ingest, "read_ims_file", counted_read)
+        fake_affinity(monkeypatch, 2)
+        report = assess_sequence(RunToFailureFiles(tmp_path, 0, 20000.0), FAULTS, FAST_CSF,
+                                 n_train=3)
+        assert len(report.fits) == 6 and report.parse_errors == []
+        assert 1 <= len(calls) < 6
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_the_first_failing_signal_is_reported(self, monkeypatch, n_cpus):
@@ -140,7 +162,7 @@ class TestFitSignals:
         fake_affinity(monkeypatch, 6)
         raw, filtered, results = two_branch_features(signals, FAULTS, config)
         assert fits.value == len(signals)
-        assert all(np.array_equal(got.w, want.w) for got, want in zip(results, expected))
+        assert [fit_record(got) for got in results] == [fit_record(want) for want in expected]
         assert np.array_equal(raw.values, want_raw)
         assert np.array_equal(filtered.values, want_filtered)
 
@@ -176,11 +198,11 @@ class TestFitSignals:
 
         fake_affinity(monkeypatch, n_cpus)
         failing = ()
-        assert pipeline._fan_out(work, 10) == [i * i for i in range(10)]
+        assert pipeline._fan_out(work, 10) == ([i * i for i in range(10)], None)
         failing = (4, 7)
-        with pytest.raises(KeyError) as raised:
-            pipeline._fan_out(work, 10)
-        assert type(raised.value) is KeyError and raised.value.args == ("item 4",)
+        results, error = pipeline._fan_out(work, 10)
+        assert results == [0, 1, 4, 9]
+        assert type(error) is KeyError and error.args == ("item 4",)
 
     def test_every_process_claims_in_increasing_order(self, monkeypatch):
         n = 12
@@ -195,7 +217,7 @@ class TestFitSignals:
             return i
 
         fake_affinity(monkeypatch, 2)
-        assert pipeline._fan_out(work, n) == list(range(n))
+        assert pipeline._fan_out(work, n) == (list(range(n)), None)
         by_process = {}
         for pid, i in zip(claims[0::2], claims[1::2]):
             by_process.setdefault(pid, []).append(i)
