@@ -7,7 +7,6 @@ metadata.  Exit codes: 0 success, 1 validation or tolerance failure,
 """
 
 import argparse
-import contextlib
 import inspect
 import json
 import math
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalFailureError, SignalParseError
+from .errors import DegenerateInputError, NumericalFailureError, SignalParseError, naming
 from .features import (
     DEFAULT_BAND_FRACTION,
     FEATURE_NAMES,
@@ -104,16 +103,6 @@ def _read_signal(path, sample_rate_hz):
             f"{Path(path).name}: sample rate unknown; pass --sample-rate or provide a sidecar"
         )
     return read_ims_file(path, sample_rate_hz).channel_signal(0)
-
-
-@contextlib.contextmanager
-def _naming(path):
-    """Prefix an error from working on ``path``'s samples with the file's name."""
-    try:
-        yield
-    except (ValueError, NumericalFailureError) as exc:
-        exc.args = (f"{Path(path).name}: {exc}",)
-        raise
 
 
 def _json_dict(items):
@@ -285,7 +274,7 @@ def cmd_filter(args):
     signal = _read_signal(args.input, args.sample_rate_hz)
     config = _config_from_args(CsfConfig, args)
     t0 = time.perf_counter()
-    with _naming(args.input):
+    with naming(Path(args.input).name):
         result = filter_signal(signal, config, method=args.method)
     wall = time.perf_counter() - t0
     out = _out_path(args.output)
@@ -315,7 +304,7 @@ def cmd_features(args):
     args = _input_mode_args(args, "--input")
     signal = _read_signal(args.input, args.sample_rate_hz)
     faults = _fault_frequencies_from_args(args)
-    with _naming(args.input):
+    with naming(Path(args.input).name):
         vector = extract_feature_vector(signal, faults, args.band_fraction)
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
     payload = {

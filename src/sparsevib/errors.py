@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helper that names an error's source."""
+
+import contextlib
 
 
 class DegenerateInputError(ValueError):
@@ -18,3 +20,17 @@ class SignalParseError(ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+@contextlib.contextmanager
+def naming(name):
+    """Prefix a ``ValueError`` or ``NumericalFailureError`` raised inside with ``name: ``.
+
+    The error is re-raised as it is, only its message changed, so its type
+    and any other attribute (a ``SignalParseError``'s ``line``) stay.
+    """
+    try:
+        yield
+    except (ValueError, NumericalFailureError) as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise

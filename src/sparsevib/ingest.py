@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_signal import Signal
-from .errors import SignalParseError
+from .errors import SignalParseError, naming
 from .simulate import LabeledDataset
 
 __all__ = [
@@ -53,20 +53,16 @@ class SnapshotFile:
 
         Every ``ValueError`` it raises names the file.
         """
-        if not (0 <= channel < self.n_channels):
-            raise ValueError(
-                f"{self.path.name}: channel {channel} out of range for "
-                f"{self.n_channels}-channel file"
-            )
-        samples = self.channels[:, channel].copy()
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise ValueError(f"{self.path.name}: sample row {bad[0] + 1} of channel {channel} "
-                             f"is {samples[bad[0]]}, not a finite number")
-        try:
+        with naming(self.path.name):
+            if not (0 <= channel < self.n_channels):
+                raise ValueError(f"channel {channel} out of range for "
+                                 f"{self.n_channels}-channel file")
+            samples = self.channels[:, channel].copy()
+            bad = np.flatnonzero(~np.isfinite(samples))
+            if bad.size:
+                raise ValueError(f"sample row {bad[0] + 1} of channel {channel} "
+                                 f"is {samples[bad[0]]}, not a finite number")
             return Signal(samples, self.sample_rate_hz)
-        except ValueError as exc:
-            raise ValueError(f"{self.path.name}: {exc}") from None
 
 
 def _parse_timestamp(path):
@@ -196,7 +192,8 @@ class RunToFailureFiles:
     """The snapshot files of a run-to-failure directory, in filename-timestamp order, unread.
 
     Constructing it lists the directory and notes each file whose name does
-    not parse as a timestamp in ``errors``.  ``files[i]`` reads file ``i``:
+    not parse as a timestamp in ``errors``, except the ``<name>.json``
+    sidecar of a timestamped file ``<name>``.  ``files[i]`` reads file ``i``:
     its ``channel`` as a :class:`Signal`, or a :class:`Skipped` that says why
     it gives none.  So each file can be read where it is used (``pipeline``
     reads it on the CPU that fits it), and :meth:`sequence` applies the
@@ -210,13 +207,11 @@ class RunToFailureFiles:
         entries = sorted(p for p in self.directory.iterdir() if p.is_file())
         if not entries:
             raise FileNotFoundError(f"no files found in {self.directory}")
-        stamped, self.errors = [], []
-        for path in entries:
-            ts = _parse_timestamp(path)
-            if ts is None:
-                self.errors.append((str(path), "filename does not encode a timestamp"))
-                continue
-            stamped.append((ts, path))
+        stamped = [(_parse_timestamp(path), path) for path in entries]
+        sidecars = {path.with_name(path.name + ".json") for ts, path in stamped if ts is not None}
+        self.errors = [(str(path), "filename does not encode a timestamp")
+                       for ts, path in stamped if ts is None and path not in sidecars]
+        stamped = [(ts, path) for ts, path in stamped if ts is not None]
         stamped.sort(key=lambda item: (item[0], item[1].name))
         self.paths = [path for _, path in stamped]
 

@@ -9,10 +9,12 @@ assessment and classification pipelines always process a raw branch
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core_signal import Signal, convolve_valid
+from .errors import naming
 from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
@@ -72,27 +74,24 @@ class SnapshotFit:
     final_cost: float
 
 
-class _FitFailed(Exception):
-    """The fit or a feature extraction of a snapshot raised ``args[0]``; the caller names it."""
-
-
-def _snapshot(signals, i, faults, config, band_fraction):
+def _snapshot(signals, faults, config, band_fraction, i):
     """Snapshot ``i``'s raw features, fit and filtered features, as one :class:`SnapshotFit`.
 
     ``signals[i]`` reads the file when ``signals`` is an ``ingest`` sequence,
     so the read runs on the CPU that fits it; a read error is raised as it
-    is, and a :class:`Skipped` file comes back as it is.
+    is, and a :class:`Skipped` file comes back as it is.  An error of the
+    features or the fit names the snapshot: its file's name when
+    ``signals`` has ``paths``, else ``snapshot {i + 1}``.
     """
     signal = signals[i]
     if isinstance(signal, Skipped):
         return signal
-    try:
+    name = signals.paths[i].name if hasattr(signals, "paths") else f"snapshot {i + 1}"
+    with naming(name):
         raw = extract_feature_vector(signal, faults, band_fraction).as_array()
         fit = fit_simplified_csf(signal, config)
         enhanced = Signal(fit.filtered, signal.sample_rate_hz)
         filtered = extract_feature_vector(enhanced, faults, band_fraction).as_array()
-    except Exception as exc:
-        raise _FitFailed(exc) from None
     return SnapshotFit(raw=raw, filtered=filtered, iterations=fit.iterations,
                        converged=fit.converged, initial_cost=float(fit.cost_history[0]),
                        final_cost=float(fit.cost_history[-1]))
@@ -119,7 +118,7 @@ def _run_claimed(work, counter, n):
     while (i := _claim(counter, n)) is not None:
         try:
             results[i] = work(i)
-        except Exception as exc:  # returned by _fan_out once every process is done
+        except Exception as exc:  # raised by _fan_out once every process is done
             errors[i] = exc
             with counter.get_lock():
                 counter.value = n
@@ -132,10 +131,7 @@ def _helper(sender, work, counter, n):
 
 
 def _fan_out(work, n):
-    """``(results, error)``: ``work(i)`` for every ``i`` below the lowest that failed, and its error.
-
-    With no failure, ``results`` is ``[work(i) for i in range(n)]`` and
-    ``error`` is None.
+    """``[work(i) for i in range(n)]``, or the error of the lowest ``i`` that failed.
 
     The items run on the CPUs in this process's affinity mask: this process
     and ``count - 1`` forked helpers each claim the next item, one at a
@@ -176,29 +172,9 @@ def _fan_out(work, n):
             receiver.close()
         for process in processes:
             process.join()
-    first = min(errors, default=n)
-    return [results[i] for i in range(first)], errors.get(first)
-
-
-def _fit_snapshots(signals, faults, csf_config, band_fraction):
-    """``_snapshot`` of every snapshot, fanned out over the CPUs (see ``_fan_out``).
-
-    None of them depends on the process that runs it, so neither do the
-    results.  When snapshots fail, the error of the lowest-numbered one is
-    raised, whatever the CPU count or the stage that failed.  An error of a
-    fit or a feature extraction says ``snapshot k:``, with ``k`` the
-    snapshot's 1-based place among those that gave a signal.
-    """
-    fits, error = _fan_out(
-        lambda i: _snapshot(signals, i, faults, csf_config, band_fraction), len(signals)
-    )
-    if isinstance(error, _FitFailed):
-        [error] = error.args
-        k = 1 + sum(isinstance(fit, SnapshotFit) for fit in fits)
-        error.args = (f"snapshot {k}: {error}",)
-    if error is not None:
-        raise error
-    return fits
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(n)]
 
 
 def _feature_matrices(fits):
@@ -211,10 +187,13 @@ def _feature_matrices(fits):
 def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
     """Raw-branch and filtered-branch feature matrices, and the :class:`SnapshotFit` of each signal.
 
-    ``signals`` is a list of Signals or an ``ingest.SnapshotSignals``; see
-    ``_fit_snapshots``.
+    ``signals`` is a list of Signals or an ``ingest.SnapshotSignals``.  Each
+    is one ``_snapshot``, fanned out over the CPUs by ``_fan_out``.  None of
+    them depends on the process that runs it, so neither do the results.
+    When snapshots fail, the error of the lowest-numbered one is raised,
+    whatever the CPU count or the stage that failed.
     """
-    fits = _fit_snapshots(signals, faults, csf_config, band_fraction)
+    fits = _fan_out(partial(_snapshot, signals, faults, csf_config, band_fraction), len(signals))
     return (*_feature_matrices(fits), fits)
 
 
@@ -267,17 +246,17 @@ def assess_sequence(
     training MQEs.  ``signals`` is a list of Signals or an
     ``ingest.RunToFailureFiles``, whose files are each read by the unit of
     work that fits them; the files that give no signal are left out and
-    listed in ``parse_errors``.
+    listed in ``parse_errors``.  Too few snapshots for ``n_train`` is
+    checked before any is read, and for a run again on the files that gave
+    a signal.
     """
     if n_train < 2:
         raise ValueError(f"n_train must be at least 2, got {n_train}")
-    run = isinstance(signals, RunToFailureFiles)
-    if not run:  # a run's file count only bounds its signals from above
-        _require_snapshots(len(signals), n_train)
+    _require_snapshots(len(signals), n_train)  # a run's file count bounds its signals from above
     som_config = som_config or DEFAULT_ASSESS_SOM
-    fits = _fit_snapshots(signals, faults, csf_config, band_fraction)
+    fits = _fan_out(partial(_snapshot, signals, faults, csf_config, band_fraction), len(signals))
     parse_errors = []
-    if run:
+    if isinstance(signals, RunToFailureFiles):
         sequence = signals.sequence(fits)
         fits, parse_errors = sequence.signals, sequence.errors
         _require_snapshots(len(fits), n_train)

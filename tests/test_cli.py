@@ -304,15 +304,34 @@ class TestAssess:
         data = tmp_path / "data"
         data.mkdir()
         rng = np.random.default_rng(0)
-        for stamp in ("2004.02.12.10.32.39", "2004.02.12.10.42.39"):
+        for stamp in ("2004.02.12.10.32.39", "2004.02.12.10.42.39", "2004.02.12.10.52.39"):
             write_ims_file(data / stamp, rng.standard_normal((1024, 2)))
         code = run([
-            "assess", "--input-dir", str(data), "--channel", "5",
+            "assess", "--input-dir", str(data), "--channel", "5", "--n-train", "2",
             "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
             "-o", str(tmp_path / "mqe.csv"),
         ])
         assert code == 1
         assert "channel 5" in capsys.readouterr().err
+
+    def test_too_few_files_fail_before_any_read(self, tmp_path, capsys, monkeypatch):
+        from sparsevib import ingest, write_ims_file
+
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        for minute in range(3):
+            write_ims_file(data / f"2004.02.12.10.{minute:02d}.39", rng.standard_normal((1024, 1)))
+        reads, read = [], ingest.read_ims_file
+        monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "3",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "-o", str(tmp_path / "mqe.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least 4 snapshots, got 3\n"
+        assert reads == []
 
     def test_binary_snapshot_reported_and_skipped(self, tmp_path):
         from sparsevib import write_ims_file
@@ -564,7 +583,7 @@ class TestCpuCount:
         signals[5] = np.full(4096, 0.25)
         err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
                                               "--filter-length", "50")
-        assert err == "error: snapshot 6: autocorrelation of a constant signal is undefined\n"
+        assert err == "error: sig5.txt: autocorrelation of a constant signal is undefined\n"
 
     def test_first_short_snapshot_is_named(self, tmp_path, capsys):
         signals = taxonomy_signals(8)
@@ -572,7 +591,7 @@ class TestCpuCount:
             signals[k] = signals[k][:300]
         err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
                                               "--filter-length", "200")
-        assert err == "error: snapshot 5: filter_length 200 exceeds N/2 for N=300\n"
+        assert err == "error: sig4.txt: filter_length 200 exceeds N/2 for N=300\n"
 
 
 def fake_affinity(monkeypatch, n_cpus):
@@ -632,15 +651,14 @@ class TestReadInTheUnit:
         assert report["source"]["parse_errors"] == [list(error) for error in errors]
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
-    def test_fit_error_names_the_place_among_parsed_files(self, tmp_path, capsys, monkeypatch,
-                                                          n_cpus):
-        # Snapshot 3 is the 5th timestamped file: two skipped files come before it.
+    def test_fit_error_names_the_file(self, tmp_path, capsys, monkeypatch, n_cpus):
+        # The first short record is the 5th timestamped file: two skipped files come before it.
         data = write_run(tmp_path / "data", [4096, 4096, 300, 4096, 300, 4096])
         fake_affinity(monkeypatch, n_cpus)
         assert self.assess(data, tmp_path / "mqe.csv", "--n-train", "3",
                            "--filter-length", "200") == 1
         assert capsys.readouterr().err == (
-            "error: snapshot 3: filter_length 200 exceeds N/2 for N=300\n")
+            "error: 2004.02.12.10.02.39: filter_length 200 exceeds N/2 for N=300\n")
 
     def test_manifest_errors(self, tmp_path, capsys, monkeypatch):
         from sparsevib import ingest

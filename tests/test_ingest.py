@@ -128,6 +128,19 @@ class TestReadImsFile:
             snapshot.channel_signal(2)
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.1\t0.2\nnan\t0.4\n", "sample row 2 of channel 0 is nan, not a finite number"),
+        ("0.1\t0.2\n", "signal needs at least 2 samples"),
+    ])
+    def test_channel_signal_names_the_file_once(self, tmp_path, text, message):
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_text(text)
+        snapshot = read_ims_file(path, 20000.0)
+        with pytest.raises(ValueError) as excinfo:
+            snapshot.channel_signal(0)
+        assert str(excinfo.value) == f"2004.02.12.10.32.39: {message}"
+
+
 class TestWriteImsFile:
     @pytest.mark.parametrize("header", [None, "sample"])
     def test_bytes_match_per_value_format(self, tmp_path, header):
@@ -179,6 +192,16 @@ class TestIterateRunToFailure:
         sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
         assert len(sequence) == 1
         assert len(sequence.errors) == 2
+
+    def test_sidecars_of_snapshots_are_passed_over(self, tmp_path):
+        for stamp in ("2004.02.12.10.32.39", "2004.02.12.10.42.39"):
+            make_snapshot(tmp_path / stamp, seed=3)
+            (tmp_path / f"{stamp}.json").write_text("{}\n")
+        (tmp_path / "2004.02.12.10.52.39.json").write_text("{}\n")  # no such snapshot
+        sequence = iterate_run_to_failure(tmp_path, 0, 20000.0)
+        assert len(sequence) == 2
+        assert sequence.errors == [(str(tmp_path / "2004.02.12.10.52.39.json"),
+                                    "filename does not encode a timestamp")]
 
     def test_binary_file_reported_not_fatal(self, tmp_path):
         make_snapshot(tmp_path / "2004.02.12.10.32.39", seed=3)

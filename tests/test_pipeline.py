@@ -198,11 +198,11 @@ class TestFitSignals:
 
         fake_affinity(monkeypatch, n_cpus)
         failing = ()
-        assert pipeline._fan_out(work, 10) == ([i * i for i in range(10)], None)
+        assert pipeline._fan_out(work, 10) == [i * i for i in range(10)]
         failing = (4, 7)
-        results, error = pipeline._fan_out(work, 10)
-        assert results == [0, 1, 4, 9]
-        assert type(error) is KeyError and error.args == ("item 4",)
+        with pytest.raises(KeyError) as excinfo:
+            pipeline._fan_out(work, 10)
+        assert type(excinfo.value) is KeyError and excinfo.value.args == ("item 4",)
 
     def test_every_process_claims_in_increasing_order(self, monkeypatch):
         n = 12
@@ -217,7 +217,7 @@ class TestFitSignals:
             return i
 
         fake_affinity(monkeypatch, 2)
-        assert pipeline._fan_out(work, n) == (list(range(n)), None)
+        assert pipeline._fan_out(work, n) == list(range(n))
         by_process = {}
         for pid, i in zip(claims[0::2], claims[1::2]):
             by_process.setdefault(pid, []).append(i)
