@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate -> filter -> features -> assess / classify.
 
 Every output file gets a JSON sidecar (or report) carrying the full
-configuration and seed, so any result can be regenerated from its own
-metadata.  Exit codes: 0 success, 1 validation or tolerance failure,
-2 I/O or parse failure.
+configuration, and the seed of whatever is drawn at random, so any result
+can be regenerated from its own metadata.  Exit codes: 0 success,
+1 validation or tolerance failure, 2 I/O or parse failure.
 """
 
 import argparse
@@ -43,7 +43,7 @@ from .simulate import (
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
 )
-from .sparse_filter import INIT_SCHEMES, CsfConfig
+from .sparse_filter import CsfConfig
 
 OUTPUT_DIR_ENV = "SPARSEVIB_OUTPUT_DIR"
 
@@ -156,16 +156,16 @@ _FIELD_FLAGS = {
     "--roller-hz": ("roller_fault_hz", {}),
     "--jitter": ("period_jitter_fraction", {"help": "period jitter fraction"}),
     "--filter-length": ("filter_length", {}),
-    "--epsilon": ("epsilon", {}),
+    "--epsilon": ("epsilon", {"help": "soft-absolute smoothing of the sparse filter's cost; "
+                                      "MED does not read it"}),
     "--max-iterations": ("max_iterations", {}),
     "--gradient-tolerance": ("gradient_tolerance", {}),
-    "--init": ("init_scheme", {"choices": INIT_SCHEMES}),
     "--som-epochs": ("epochs", {}),
     "--seed": ("seed", {}),
 }
 _SIM_FIELD_FLAGS = ("--snr-db", "--n-samples", "--resonance-hz", "--damping-rate", "--outer-hz",
                     "--jitter")
-_CSF_FLAGS = ("--filter-length", "--epsilon", "--max-iterations", "--gradient-tolerance", "--init")
+_CSF_FLAGS = ("--filter-length", "--epsilon", "--max-iterations", "--gradient-tolerance")
 
 # Flags of ``assess`` and ``classify`` that only simulated input reads, by dest.
 # They are registered without a default, so one given with file input shows
@@ -283,7 +283,6 @@ def cmd_filter(args):
         "kind": "filter",
         "method": args.method,
         "config": asdict(config),
-        "seed": config.seed,
         "sample_rate_hz": signal.sample_rate_hz,
         "input_samples": len(signal),
         "output_samples": int(result.filtered.size),
@@ -336,6 +335,8 @@ def _som_config_from_args(args):
 
 def cmd_assess(args):
     args = _input_mode_args(args, "--input-dir" if args.input_dir else None)
+    if not args.input_dir and args.channel is not None:
+        raise _UsageError("--channel is read only with --input-dir")
     faults = _fault_frequencies_from_args(args)
     if args.input_dir:
         if args.channel is None:
@@ -467,7 +468,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     p.add_argument("--method", choices=("csf", "med"), default="csf")
-    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
+    _add_field_flags(p, csf, *_CSF_FLAGS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -490,8 +491,8 @@ def build_parser():
                    help="ROWSxCOLS (default %(default)s)")
     _add_field_flags(p, DEFAULT_ASSESS_SOM, "--som-epochs")
     _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--sample-rate")
-    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
+    _add_field_flags(p, sim, "--sample-rate", "--seed")
+    _add_field_flags(p, csf, *_CSF_FLAGS)
     _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
                           *_SIM_FIELD_FLAGS)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
@@ -504,8 +505,8 @@ def build_parser():
     group.add_argument("--manifest", help="CSV manifest: path,label per row")
     _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts"})
     _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--sample-rate")
-    _add_field_flags(p, csf, *_CSF_FLAGS, "--seed")
+    _add_field_flags(p, sim, "--sample-rate", "--seed")
+    _add_field_flags(p, csf, *_CSF_FLAGS)
     _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
                           "--inner-hz", "--roller-hz")
     p.add_argument("-o", "--output-dir", required=True)

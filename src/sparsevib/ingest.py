@@ -309,5 +309,5 @@ def read_manifest(path, sample_rate_hz):
         paths.append(path.parent / file_path)
         labels.append(label)
     if not paths:
-        raise SignalParseError(f"{path}: empty manifest")
+        raise SignalParseError(f"{path.name}: empty manifest")
     return LabeledDataset(signals=SnapshotSignals(paths, sample_rate_hz), labels=labels)

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,19 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "f8.csv.json").read_text())
         assert sidecar["config"]["fault_components"] == ["outer", "inner", "roller"]
 
+    def test_noiseless_record_and_sidecar(self, tmp_path):
+        from sparsevib import simulate_bearing_fault
+
+        out = tmp_path / "clean.csv"
+        assert run(["simulate", "--fault", "outer", "--seed", "3", "--n-samples", "2048",
+                    "--noiseless", "-o", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "clean.csv.json").read_text())
+        jsonschema.validate(sidecar, load_schema("sidecar_simulate.schema.json"))
+        assert sidecar["config"]["snr_db"] is None
+        expected = simulate_bearing_fault(FaultSimConfig(
+            fault_components=("outer",), n_samples=2048, seed=3, snr_db=math.inf))
+        assert np.array_equal(np.loadtxt(out, skiprows=1), expected.samples)
+
     def test_invalid_component_is_validation_error(self, tmp_path):
         code = run(["simulate", "--fault", "sideways", "-o", str(tmp_path / "x.csv")])
         assert code == 1
@@ -104,6 +118,7 @@ class TestFilter:
         assert code == 0
         report = json.loads((tmp_path / "filtered.csv.json").read_text())
         jsonschema.validate(report, load_schema("report_filter.schema.json"))
+        assert "seed" not in report
         assert report["cost_history"][-1] < report["cost_history"][0]
         assert report["wall_time_s"] > 0
         assert len(report["w"]) == 64
@@ -333,6 +348,19 @@ class TestAssess:
         assert capsys.readouterr().err == "error: need at least 4 snapshots, got 3\n"
         assert reads == []
 
+    def test_no_parseable_snapshot_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for minute in range(3):
+            (data / f"2004.02.12.10.{minute:02d}.39").write_text("junk\n")
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "2",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "-o", str(tmp_path / "mqe.csv"),
+        ])
+        assert code == 2
+        assert f"error: no parseable snapshot files in {data}" in capsys.readouterr().err
+
     def test_binary_snapshot_reported_and_skipped(self, tmp_path):
         from sparsevib import write_ims_file
 
@@ -456,6 +484,16 @@ class TestClassify:
         ])
         assert code == 2
         assert "runs.csv: line 2" in capsys.readouterr().err
+
+    def test_header_only_manifest_names_the_file(self, tmp_path, capsys):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text("path,label\n")
+        code = run([
+            "classify", "--manifest", str(manifest), "--sample-rate", "20000",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "cls"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: runs.csv: empty manifest\n"
 
     def test_non_utf8_manifest_names_file_and_line(self, tmp_path, capsys):
         manifest = tmp_path / "runs.csv"
@@ -704,6 +742,19 @@ class TestFlags:
             run(argv + ["--bpfo", "100", "--bpfi", "160", "--bsf", "70",
                         "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--init", "seeded_random")])
+    def test_removed_filter_flags_are_rejected(self, flag, value, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["filter", "--input", "signal.csv", flag, value, "-o", str(tmp_path / "out.csv")])
+        assert excinfo.value.code == 2
+
+    def test_channel_rejected_with_simulated_input(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["assess", "--simulate-degradation", "--channel", "7",
+                 "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "mqe.csv")])
+        assert excinfo.value.code == 2
+        assert "error: --channel is read only with --input-dir" in capsys.readouterr().err
 
     SIMULATION_ONLY = [("--snr-db", "0"), ("--n-samples", "4096"), ("--resonance-hz", "3000"),
                        ("--damping-rate", "900"), ("--outer-hz", "100"), ("--jitter", "0.01")]

@@ -225,6 +225,17 @@ class TestKmeans:
         best_of_many = kmeans(points, 5, n_restarts=6, seed=21)
         assert best_of_many.inertia <= single.inertia + 1e-12
 
+    def test_coincident_points(self):
+        # Past the first center every k-means++ distance is zero, so the
+        # remaining centers are uniform draws, and Lloyd's first assignment
+        # leaves clusters empty, to be reseeded from the farthest point.
+        point = np.array([1.5, -2.0])
+        points = np.tile(point, (6, 1))
+        result = kmeans(points, 3, n_restarts=2, seed=0)
+        assert result.inertia == 0.0
+        assert np.array_equal(result.centers, np.tile(point, (3, 1)))
+        assert np.array_equal(result.labels, np.zeros(6, dtype=int))
+
 
 class TestVat:
     def test_two_block_matrix_contiguous(self):

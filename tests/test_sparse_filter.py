@@ -150,7 +150,7 @@ class TestFitSimplifiedCsf:
 
     def test_deterministic(self):
         sig = gaussian_with_outlier(2048, 8.0, seed=4)
-        config = CsfConfig(filter_length=40, init_scheme="seeded_random", seed=9)
+        config = CsfConfig(filter_length=40)
         a = fit_simplified_csf(sig, config)
         b = fit_simplified_csf(sig, config)
         assert np.array_equal(a.w, b.w)
@@ -172,6 +172,18 @@ class TestFitSimplifiedCsf:
         assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-9)
         m = result.filtered.size
         assert 1.0 <= result.cost_history[-1] <= np.sqrt(m)
+
+    @pytest.mark.parametrize("scale", [1e-8, 2.0**-40])
+    def test_fit_that_stops_within_one_iteration_has_not_converged(self, scale):
+        # At these scales epsilon flattens the cost: the solver stops after one
+        # iteration with w still far from the scale-1 fit's.
+        sig = gaussian_with_outlier(4096, 8.0, seed=0)
+        config = CsfConfig(filter_length=64)
+        reference = fit_simplified_csf(sig, config)
+        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz), config)
+        assert reference.converged and reference.iterations > 1
+        assert result.iterations <= 1 and not result.converged
+        assert np.max(np.abs(result.w - reference.w)) > 0.1
 
     def test_constant_signal_degenerate(self):
         sig = Signal(np.full(1024, 2.0), 100.0)
