@@ -30,13 +30,7 @@ from .features import (
 )
 from .health_models import SomConfig
 from .ingest import RunToFailureFiles, read_ims_file, read_manifest, write_ims_file
-from .pipeline import (
-    DEFAULT_ASSESS_SOM,
-    assess_sequence,
-    classify_dataset,
-    filter_signal,
-    gradient_check,
-)
+from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
 from .simulate import (
     FaultSimConfig,
     make_degradation_sequence,
@@ -81,17 +75,18 @@ def _sidecar_sample_rate(path):
     sidecar = Path(str(path) + ".json")
     if not sidecar.exists():
         return None
-    try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{sidecar.name}: sidecar is not valid JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar.name}: sidecar is not a JSON object")
-    rate = meta.get("sample_rate_hz")
-    if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                             or not rate > 0):
-        raise ValueError(f"{sidecar.name}: sample_rate_hz {rate!r} is not a positive number")
-    return rate
+    with naming(sidecar.name):
+        try:
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"sidecar is not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise ValueError("sidecar is not a JSON object")
+        rate = meta.get("sample_rate_hz")
+        if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                                 or not rate > 0):
+            raise ValueError(f"sample_rate_hz {rate!r} is not a positive number")
+        return rate
 
 
 def _read_signal(path, sample_rate_hz):
@@ -337,10 +332,10 @@ def cmd_assess(args):
     args = _input_mode_args(args, "--input-dir" if args.input_dir else None)
     if not args.input_dir and args.channel is not None:
         raise _UsageError("--channel is read only with --input-dir")
+    if args.input_dir and args.channel is None:
+        raise _UsageError("--channel is required with --input-dir")
     faults = _fault_frequencies_from_args(args)
     if args.input_dir:
-        if args.channel is None:
-            raise ValueError("--channel is required with --input-dir")
         signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
         source = {"input_dir": str(args.input_dir), "channel": args.channel}
     else:
@@ -456,7 +451,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim, csf = FaultSimConfig(), CsfConfig()
+    sim, csf, som = FaultSimConfig(), CsfConfig(), SomConfig()
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
     _add_field_flags(p, sim, "--fault", "--sample-rate", "--shaft-hz", *_SIM_FIELD_FLAGS,
                      "--inner-hz", "--roller-hz", "--seed")
@@ -487,9 +482,9 @@ def build_parser():
                        help="simulate an outer-race fault growing from --onset")
     p.add_argument("--channel", type=int, default=None)
     _add_param_flags(p, assess_sequence, {"--n-train": "n_train"})
-    p.add_argument("--som-grid", default="{0.grid_rows}x{0.grid_cols}".format(DEFAULT_ASSESS_SOM),
+    p.add_argument("--som-grid", default=f"{som.grid_rows}x{som.grid_cols}",
                    help="ROWSxCOLS (default %(default)s)")
-    _add_field_flags(p, DEFAULT_ASSESS_SOM, "--som-epochs")
+    _add_field_flags(p, som, "--som-epochs")
     _add_fault_freq_flags(p, sim)
     _add_field_flags(p, sim, "--sample-rate", "--seed")
     _add_field_flags(p, csf, *_CSF_FLAGS)

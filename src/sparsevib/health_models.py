@@ -47,15 +47,17 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class SomConfig:
-    """SOM hyperparameters; learning rate and radius decay over the epochs."""
+    """SOM grid, training epochs and seed; ``som_train`` fixes the decay schedule.
 
-    grid_rows: int = 8
-    grid_cols: int = 8
+    A 20-sample healthy baseline cannot support a map with more units than
+    samples: the in-sample MQE spread collapses and the mean + 6 sigma alarm
+    line drops onto the noise floor.  The default is therefore a compact
+    3x3 map.
+    """
+
+    grid_rows: int = 3
+    grid_cols: int = 3
     epochs: int = 200
-    learning_rate_initial: float = 0.5
-    learning_rate_final: float = 0.01
-    radius_initial: float = None
-    radius_final: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +65,6 @@ class SomConfig:
             raise ValueError("SOM grid must be at least 2x2")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.radius_initial is None:
-            object.__setattr__(self, "radius_initial", max(self.grid_rows, self.grid_cols) / 2.0)
 
 
 @dataclass
@@ -120,9 +120,12 @@ def _decay(initial, final, epoch, epochs):
 def som_train(train, config=None):
     """Fit a SOM to training rows (online updates, Gaussian neighborhood).
 
-    Rows are z-normalized with the training statistics; the model stores
-    those statistics so scoring uses the same transform.  Zero-variance
-    columns are dropped from the distance space with a warning.
+    Over ``config.epochs`` the learning rate decays geometrically from 0.5
+    to 0.01 and the neighborhood radius from half the longer grid side to
+    0.5 units.  Rows are z-normalized with the training statistics; the
+    model stores those statistics so scoring uses the same transform.
+    Zero-variance columns are dropped from the distance space with a
+    warning.
     """
     config = config or SomConfig()
     values, names = _as_matrix(train)
@@ -153,8 +156,8 @@ def som_train(train, config=None):
     codebook = z[rng.integers(0, n, size=units)] + 0.05 * rng.standard_normal((units, kept.size))
 
     for epoch in range(config.epochs):
-        lr = _decay(config.learning_rate_initial, config.learning_rate_final, epoch, config.epochs)
-        sigma = _decay(config.radius_initial, config.radius_final, epoch, config.epochs)
+        lr = _decay(0.5, 0.01, epoch, config.epochs)
+        sigma = _decay(max(rows, cols) / 2.0, 0.5, epoch, config.epochs)
         gain = np.exp(-grid_sq / (2.0 * sigma * sigma))
         for idx in rng.permutation(n):
             x = z[idx]

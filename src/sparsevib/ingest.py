@@ -95,9 +95,7 @@ def _read_text(path):
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise SignalParseError(
-            f"{path.name}: line {line_no} is not UTF-8 text", line=line_no
-        ) from None
+        raise SignalParseError(f"line {line_no} is not UTF-8 text", line=line_no) from None
 
 
 def _lines(text):
@@ -116,42 +114,41 @@ def read_ims_file(path, sample_rate_hz):
     accepted (real datasets contain truncated files).  A non-numeric token,
     a ragged row or a byte that is not UTF-8 raises
     :class:`SignalParseError` carrying the offending 1-based line number.
+    Every error it raises starts with the file's name.
     """
     path = Path(path)
-    text = _read_text(path)
-    lines = text.split("\n")
-    has_header = not _is_number(lines[0].strip().split("\t")[0])
-    try:
-        with warnings.catch_warnings():
-            # An empty file is reported below as a SignalParseError.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            channels = np.loadtxt(
-                (line.strip() for line in lines), delimiter="\t", comments=None,
-                skiprows=int(has_header), ndmin=2,
-            )
-    except ValueError as exc:
-        # np.loadtxt numbers rows from 0 with blank lines left out, so its row
-        # is not the file line: walk the text to the first malformed line.
-        width = None
-        for line_no, stripped in _lines(text):
-            if line_no == 1 and has_header:
-                continue
-            tokens = stripped.split("\t")
-            if not all(map(_is_number, tokens)):
-                raise SignalParseError(
-                    f"{path.name}: non-numeric content on line {line_no}", line=line_no
-                ) from None
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise SignalParseError(
-                    f"{path.name}: expected {width} columns on line {line_no}, "
-                    f"got {len(tokens)}", line=line_no,
-                ) from None
-        raise SignalParseError(f"{path.name}: {exc}") from None
-    if channels.size == 0:
-        raise SignalParseError(f"{path.name}: file contains no samples")
-    return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz))
+    with naming(path.name):
+        text = _read_text(path)
+        lines = text.split("\n")
+        has_header = not _is_number(lines[0].strip().split("\t")[0])
+        try:
+            with warnings.catch_warnings():
+                # An empty file is reported below as a SignalParseError.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                channels = np.loadtxt(
+                    (line.strip() for line in lines), delimiter="\t", comments=None,
+                    skiprows=int(has_header), ndmin=2,
+                )
+        except ValueError as exc:
+            # np.loadtxt numbers rows from 0 with blank lines left out, so its row
+            # is not the file line: walk the text to the first malformed line.
+            width = None
+            for line_no, stripped in _lines(text):
+                if line_no == 1 and has_header:
+                    continue
+                tokens = stripped.split("\t")
+                if not all(map(_is_number, tokens)):
+                    raise SignalParseError(f"non-numeric content on line {line_no}",
+                                           line=line_no) from None
+                if width is None:
+                    width = len(tokens)
+                elif len(tokens) != width:
+                    raise SignalParseError(f"expected {width} columns on line {line_no}, "
+                                           f"got {len(tokens)}", line=line_no) from None
+            raise SignalParseError(str(exc)) from None
+        if channels.size == 0:
+            raise SignalParseError("file contains no samples")
+        return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz))
 
 
 def write_ims_file(path, channels, header=None):
@@ -297,17 +294,18 @@ def read_manifest(path, sample_rate_hz):
     before any snapshot is read.  The signals are a :class:`SnapshotSignals`.
     """
     path = Path(path)
-    paths, labels = [], []
-    for line_no, stripped in _lines(_read_text(path)):
-        if line_no == 1 and stripped.lower().startswith("path"):
-            continue
-        try:
-            file_path, label = (t.strip() for t in stripped.split(",", 1))
-        except ValueError:
-            raise SignalParseError(f"{path.name}: line {line_no}: expected 'path,label'",
-                                   line=line_no) from None
-        paths.append(path.parent / file_path)
-        labels.append(label)
-    if not paths:
-        raise SignalParseError(f"{path.name}: empty manifest")
-    return LabeledDataset(signals=SnapshotSignals(paths, sample_rate_hz), labels=labels)
+    with naming(path.name):
+        paths, labels = [], []
+        for line_no, stripped in _lines(_read_text(path)):
+            if line_no == 1 and stripped.lower().startswith("path"):
+                continue
+            try:
+                file_path, label = (t.strip() for t in stripped.split(",", 1))
+            except ValueError:
+                raise SignalParseError(f"line {line_no}: expected 'path,label'",
+                                       line=line_no) from None
+            paths.append(path.parent / file_path)
+            labels.append(label)
+        if not paths:
+            raise SignalParseError("empty manifest")
+        return LabeledDataset(signals=SnapshotSignals(paths, sample_rate_hz), labels=labels)

@@ -18,7 +18,6 @@ from .errors import naming
 from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
-    SomConfig,
     VatResult,
     cluster_purity,
     kmeans,
@@ -41,14 +40,7 @@ __all__ = [
     "ClassificationReport",
     "classify_dataset",
     "gradient_check",
-    "DEFAULT_ASSESS_SOM",
 ]
-
-# A 20-sample healthy baseline cannot support a map with more units than
-# samples: the in-sample MQE spread collapses and the mean + 6 sigma alarm
-# line drops onto the noise floor.  Assessment therefore defaults to a
-# compact map instead of the general-purpose 8x8.
-DEFAULT_ASSESS_SOM = SomConfig(grid_rows=3, grid_cols=3)
 
 ALARM_SIGMA = 6.0
 
@@ -253,7 +245,6 @@ def assess_sequence(
     if n_train < 2:
         raise ValueError(f"n_train must be at least 2, got {n_train}")
     _require_snapshots(len(signals), n_train)  # a run's file count bounds its signals from above
-    som_config = som_config or DEFAULT_ASSESS_SOM
     fits = _fan_out(partial(_snapshot, signals, faults, csf_config, band_fraction), len(signals))
     parse_errors = []
     if isinstance(signals, RunToFailureFiles):

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevib import CsfConfig, FaultSimConfig, gaussian_with_outlier, pipeline, sparse_filter
+from sparsevib import (CsfConfig, FaultSimConfig, SomConfig, gaussian_with_outlier, pipeline,
+                       sparse_filter)
 from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
                            build_parser, main)
 
@@ -283,7 +284,6 @@ class TestAssess:
         assert model.codebook.shape[0] == model.config.grid_rows * model.config.grid_cols
         report = json.loads((tmp_path / "mqe.csv.json").read_text())
         assert payload["config"] == report["som"]
-        assert report["som"]["radius_initial"] == 1.5
 
     def test_som_grid_sets_its_own_radius(self, tmp_path):
         out = tmp_path / "mqe.csv"
@@ -295,7 +295,7 @@ class TestAssess:
         ])
         assert code == 0
         som = json.loads((tmp_path / "mqe.csv.json").read_text())["som"]
-        assert (som["grid_rows"], som["grid_cols"], som["radius_initial"]) == (2, 4, 2.0)
+        assert som == {"grid_rows": 2, "grid_cols": 4, "epochs": 5, "seed": 0}
 
     def test_too_few_snapshots(self, tmp_path):
         code = run([
@@ -403,14 +403,16 @@ class TestAssess:
         assert "\n" not in err and "n_train" in err
         assert fits == []
 
-    def test_input_dir_requires_channel(self, tmp_path):
+    def test_input_dir_requires_channel(self, tmp_path, capsys):
         (tmp_path / "data").mkdir()
-        code = run([
-            "assess", "--input-dir", str(tmp_path / "data"),
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "-o", str(tmp_path / "mqe.csv"),
-        ])
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run([
+                "assess", "--input-dir", str(tmp_path / "data"),
+                "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                "-o", str(tmp_path / "mqe.csv"),
+            ])
+        assert excinfo.value.code == 2
+        assert "error: --channel is required with --input-dir" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -819,7 +821,7 @@ class TestFlags:
         args = parser.parse_args(["filter", "--input", "x.csv", "-o", "y.csv"])
         assert _config_from_args(CsfConfig, args) == CsfConfig()
         args = parser.parse_args(["assess", "--simulate-degradation", "-o", "mqe.csv"])
-        assert _som_config_from_args(args) == pipeline.DEFAULT_ASSESS_SOM
+        assert _som_config_from_args(args) == SomConfig()
         assert _config_from_args(CsfConfig, args) == CsfConfig()
         assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
         assert args.n_train == default_of(pipeline.assess_sequence, "n_train")
@@ -875,6 +877,16 @@ class TestOutputDirEnv:
                     "--seed", "0", "-o", "nested/out.csv"])
         assert code == 0
         assert (tmp_path / "nested" / "out.csv").exists()
+
+    def test_missing_env_dir_is_made_and_absolute_paths_ignore_it(self, tmp_path, monkeypatch):
+        base = tmp_path / "base"
+        monkeypatch.setenv("SPARSEVIB_OUTPUT_DIR", str(base))
+        simulate = ["simulate", "--n-samples", "2048"]
+        assert run([*simulate, "-o", str(tmp_path / "abs" / "out.csv")]) == 0
+        assert (tmp_path / "abs" / "out.csv").exists() and not base.exists()
+        assert run([*simulate, "-o", "a/b/out.csv"]) == 0
+        assert (base / "a" / "b" / "out.csv").exists()
+        assert (base / "a" / "b" / "out.csv.json").exists()
 
 
 def test_cli_import_leaves_out_scipy_signal():

@@ -25,6 +25,23 @@ def blobs(rng, centers, n_each, sigma):
 
 
 class TestSomTrain:
+    def test_schedule_starts_at_half_the_longer_side(self, monkeypatch):
+        from sparsevib import health_models
+
+        decay, calls = health_models._decay, []
+
+        def recording(initial, final, epoch, epochs):
+            calls.append((initial, final, epoch, epochs))
+            return decay(initial, final, epoch, epochs)
+
+        monkeypatch.setattr(health_models, "_decay", recording)
+        data = np.random.default_rng(0).standard_normal((10, 3))
+        for rows, cols, radius in [(2, 4, 2.0), (3, 3, 1.5)]:
+            calls.clear()
+            som_train(data, SomConfig(grid_rows=rows, grid_cols=cols, epochs=3))
+            assert calls == [args for epoch in range(3)
+                             for args in [(0.5, 0.01, epoch, 3), (radius, 0.5, epoch, 3)]]
+
     def test_identical_rows_collapse_to_row(self):
         row = np.array([1.5, -2.0, 0.25, 7.0, 3.0])
         data = np.tile(row, (20, 1))
@@ -100,9 +117,7 @@ class TestSomSerialization:
         assert som_mqe(loaded, sample) == som_mqe(model, sample)
 
     def test_non_default_config_round_trips_exactly(self, tmp_path):
-        config = SomConfig(grid_rows=2, grid_cols=4, epochs=7, learning_rate_initial=0.3,
-                           learning_rate_final=0.003, radius_initial=1.7, radius_final=0.1,
-                           seed=41)
+        config = SomConfig(grid_rows=2, grid_cols=4, epochs=7, seed=41)
         data = np.random.default_rng(9).standard_normal((12, 3))
         model = som_train(data, config)
         path = tmp_path / "som.json"
@@ -110,9 +125,7 @@ class TestSomSerialization:
         loaded = SomModel.load(path)
         assert loaded.config == config
         assert json.loads(path.read_text())["config"] == {
-            "grid_rows": 2, "grid_cols": 4, "epochs": 7, "learning_rate_initial": 0.3,
-            "learning_rate_final": 0.003, "radius_initial": 1.7, "radius_final": 0.1,
-            "seed": 41,
+            "grid_rows": 2, "grid_cols": 4, "epochs": 7, "seed": 41,
         }
         assert np.array_equal(loaded.codebook, model.codebook)
         assert np.array_equal(loaded.std, model.std)
