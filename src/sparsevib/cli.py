@@ -37,7 +37,7 @@ from .simulate import (
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
 )
-from .sparse_filter import CsfConfig
+from .sparse_filter import STOP_REASONS, CsfConfig
 
 OUTPUT_DIR_ENV = "SPARSEVIB_OUTPUT_DIR"
 
@@ -225,6 +225,7 @@ def _fit_summary(fits):
         "iterations": {"min": min(iterations), "median": statistics.median(iterations),
                        "max": max(iterations)},
         "not_converged": [i for i, fit in enumerate(fits, start=1) if not fit.converged],
+        "stops": {stop: sum(fit.stop == stop for fit in fits) for stop in STOP_REASONS},
         "initial_cost": [fit.initial_cost for fit in fits],
         "final_cost": [fit.final_cost for fit in fits],
     }
@@ -287,6 +288,8 @@ def cmd_filter(args):
         "iterations": result.iterations,
         "wall_time_s": wall,
     }
+    if result.stop is not None:  # MED reports no stop reason
+        report["stop"] = result.stop
     _write_sidecar(out, report)
     print(f"{args.method}: cost {report['cost_history'][0]:.4f} -> {report['cost_history'][-1]:.4f} "
           f"in {result.iterations} iterations ({wall:.2f} s), converged={result.converged}")
@@ -328,6 +331,13 @@ def _som_config_from_args(args):
     return _config_from_args(SomConfig, args, grid_rows=rows, grid_cols=cols)
 
 
+def _assess_branch_block(branch):
+    """A branch's block of the assess report; the SOM left out its zero-variance features."""
+    model = branch.model
+    return {"threshold": branch.threshold, "alarm_index": branch.alarm_index,
+            "dropped_columns": [model.feature_names[i] for i in model.dropped_columns]}
+
+
 def cmd_assess(args):
     args = _input_mode_args(args, "--input-dir" if args.input_dir else None)
     if not args.input_dir and args.channel is not None:
@@ -364,9 +374,8 @@ def cmd_assess(args):
         "fault_frequencies_hz": _fault_block(faults),
         "csf_config": asdict(csf_config),
         "som": asdict(som_config),
-        "raw": {"threshold": report.raw.threshold, "alarm_index": report.raw.alarm_index},
-        "filtered": {"threshold": report.filtered.threshold,
-                     "alarm_index": report.filtered.alarm_index},
+        "raw": _assess_branch_block(report.raw),
+        "filtered": _assess_branch_block(report.filtered),
         "filter_fits": _fit_summary(report.fits),
     }
     _write_sidecar(out, payload)

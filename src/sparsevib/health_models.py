@@ -8,7 +8,6 @@ diagonal blocks.
 """
 
 import json
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -124,8 +123,8 @@ def som_train(train, config=None):
     to 0.01 and the neighborhood radius from half the longer grid side to
     0.5 units.  Rows are z-normalized with the training statistics; the
     model stores those statistics so scoring uses the same transform.
-    Zero-variance columns are dropped from the distance space with a
-    warning.
+    Zero-variance columns are dropped from the distance space and listed
+    in the model's ``dropped_columns``.
     """
     config = config or SomConfig()
     values, names = _as_matrix(train)
@@ -137,9 +136,6 @@ def som_train(train, config=None):
     std = values.std(axis=0)
     kept = np.flatnonzero(std > 0)
     dropped = tuple(int(i) for i in np.flatnonzero(std == 0))
-    if dropped:
-        names_str = ", ".join(names[i] for i in dropped)
-        warnings.warn(f"dropping zero-variance feature column(s): {names_str}")
 
     rows, cols = config.grid_rows, config.grid_cols
     units = rows * cols

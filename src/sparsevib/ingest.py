@@ -91,11 +91,14 @@ def _read_text(path):
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise SignalParseError(f"line {line_no} is not UTF-8 text", line=line_no) from None
+    if "\r" in text:  # a scan costs about a hundredth of the two rewrites
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _lines(text):

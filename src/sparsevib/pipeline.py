@@ -62,6 +62,7 @@ class SnapshotFit:
     filtered: np.ndarray  # features of the sparse-filter output
     iterations: int
     converged: bool
+    stop: str  # why the fit stopped, as ``CsfResult.stop``
     initial_cost: float
     final_cost: float
 
@@ -85,7 +86,8 @@ def _snapshot(signals, faults, config, band_fraction, i):
         enhanced = Signal(fit.filtered, signal.sample_rate_hz)
         filtered = extract_feature_vector(enhanced, faults, band_fraction).as_array()
     return SnapshotFit(raw=raw, filtered=filtered, iterations=fit.iterations,
-                       converged=fit.converged, initial_cost=float(fit.cost_history[0]),
+                       converged=fit.converged, stop=fit.stop,
+                       initial_cost=float(fit.cost_history[0]),
                        final_cost=float(fit.cost_history[-1]))
 
 

@@ -37,10 +37,17 @@ __all__ = [
     "fit_med",
 ]
 
-# Relative plateau tolerance handed to the quasi-Newton line search: the
-# l1/l2 valley is extremely flat near its floor, and polishing past a 1e-7
-# relative cost change buys nothing for the filtered output.
-_PLATEAU_FTOL = 1e-7
+# Plateau stop: L-BFGS-B ends a fit once the cost's relative reduction over
+# an iteration falls below this (the ``factr`` test of Byrd, Lu, Nocedal &
+# Zhu 1995).  Rounding-level changes to the input (``y * (1 + k 2^-50)``)
+# already move every filtered feature, so refining below that spread buys
+# nothing.  This is the ``chosen_ftol`` of studies/STOP_FLOOR.json: the
+# largest stop whose move stays within that spread, at p95 and at max, on
+# every filtered feature.
+_PLATEAU_FTOL = 3e-7
+
+# Why a sparse-filter fit stopped (``CsfResult.stop``).
+STOP_REASONS = ("gradient", "plateau", "iteration_cap", "line_search")
 
 
 def _solver_blas_threads():
@@ -144,7 +151,10 @@ class CsfResult:
     ``w`` has unit l2 norm; ``filtered`` is recomputed from the normalized
     coefficients.  ``cost_history`` holds the objective at the initial point
     and at every accepted iterate (for MED: negative output kurtosis, so the
-    descent convention is shared).
+    descent convention is shared).  ``stop`` says why a sparse-filter fit
+    stopped: ``gradient`` (the gradient-norm test), ``plateau`` (the
+    relative cost reduction fell below ``_PLATEAU_FTOL``), ``iteration_cap``
+    or ``line_search`` (no step lowered the cost); MED leaves it None.
     """
 
     w: np.ndarray
@@ -152,6 +162,7 @@ class CsfResult:
     cost_history: np.ndarray
     converged: bool
     iterations: int = 0
+    stop: str | None = None
 
 
 def _soft_abs_sums(f, epsilon):
@@ -250,11 +261,11 @@ def fit_simplified_csf(signal, config=None):
     Returns
     -------
     CsfResult
-        ``converged`` is False when the iteration cap was reached before
-        the gradient-norm criterion, or when the solver stopped within
-        one iteration (at an extreme input scale ``epsilon`` flattens
-        the cost and the fit barely leaves its starting spike).  Neither
-        is an error.
+        ``converged`` is False when the fit stopped at the iteration cap
+        or on a failed line search (``stop``), or when the solver stopped
+        within one iteration (at an extreme input scale ``epsilon``
+        flattens the cost and the fit barely leaves its starting spike).
+        None of these is an error.
     """
     config = config or CsfConfig()
     correlate = _correlator(_check_fit_inputs(signal, config), config.filter_length)
@@ -285,7 +296,11 @@ def fit_simplified_csf(signal, config=None):
             },
         )
 
-    converged = bool(result.nit > 1 and (result.status == 0 or np.max(np.abs(result.jac)) <= gtol))
+    if np.max(np.abs(result.jac)) <= gtol:
+        stop = "gradient"
+    else:  # L-BFGS-B's status: 0 its own stop test, 1 the iteration cap, 2 a failed line search
+        stop = {0: "plateau", 1: "iteration_cap"}.get(result.status, "line_search")
+    converged = bool(result.nit > 1 and stop in ("gradient", "plateau"))
 
     w = result.x / np.linalg.norm(result.x)
     filtered = correlate(w)
@@ -295,6 +310,7 @@ def fit_simplified_csf(signal, config=None):
         cost_history=np.asarray(history),
         converged=converged,
         iterations=int(result.nit),
+        stop=stop,
     )
 
 

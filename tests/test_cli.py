@@ -33,6 +33,8 @@ def run(argv):
 def check_filter_fits(block, count):
     assert block["count"] == count
     assert block["converged"] + len(block["not_converged"]) == count
+    assert sum(block["stops"].values()) == count
+    assert block["converged"] <= block["stops"]["gradient"] + block["stops"]["plateau"]
     its = block["iterations"]
     assert 0 <= its["min"] <= its["median"] <= its["max"]
     assert len(block["initial_cost"]) == len(block["final_cost"]) == count
@@ -120,6 +122,7 @@ class TestFilter:
         report = json.loads((tmp_path / "filtered.csv.json").read_text())
         jsonschema.validate(report, load_schema("report_filter.schema.json"))
         assert "seed" not in report
+        assert report["stop"] == "plateau"
         assert report["cost_history"][-1] < report["cost_history"][0]
         assert report["wall_time_s"] > 0
         assert len(report["w"]) == 64
@@ -133,6 +136,7 @@ class TestFilter:
         report = json.loads((tmp_path / "med.csv.json").read_text())
         jsonschema.validate(report, load_schema("report_filter.schema.json"))
         assert report["method"] == "med"
+        assert "stop" not in report  # MED has no stop reason
 
     @pytest.mark.filterwarnings("error")
     def test_med_overflow_is_named(self, tmp_path, capsys):
@@ -347,6 +351,28 @@ class TestAssess:
         assert code == 1
         assert capsys.readouterr().err == "error: need at least 4 snapshots, got 3\n"
         assert reads == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_identical_records_name_the_dropped_columns(self, tmp_path, capfd):
+        from sparsevib import write_ims_file
+
+        data = tmp_path / "data"
+        data.mkdir()
+        record = gaussian_with_outlier(1024, 8.0, seed=0).samples[:, None]
+        for minute in range(4):
+            write_ims_file(data / f"2004.02.12.10.{minute:02d}.39", record)
+        out = tmp_path / "mqe.csv"
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "2",
+            "--sample-rate", "20000", "--filter-length", "32", "--som-epochs", "5",
+            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(out),
+        ])
+        assert code == 0
+        assert capfd.readouterr().err == ""
+        report = json.loads((tmp_path / "mqe.csv.json").read_text())
+        jsonschema.validate(report, load_schema("report_assess.schema.json"))
+        assert report["raw"]["dropped_columns"] == report["filtered"]["dropped_columns"] == [
+            "kurtosis", "l1_l2", "blehnr_bpfo", "blehnr_bpfi", "blehnr_bsf"]
 
     def test_no_parseable_snapshot_is_io_error(self, tmp_path, capsys):
         data = tmp_path / "data"

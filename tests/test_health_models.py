@@ -42,11 +42,11 @@ class TestSomTrain:
             assert calls == [args for epoch in range(3)
                              for args in [(0.5, 0.01, epoch, 3), (radius, 0.5, epoch, 3)]]
 
+    @pytest.mark.filterwarnings("error")  # the dropped columns are in the model, not a warning
     def test_identical_rows_collapse_to_row(self):
         row = np.array([1.5, -2.0, 0.25, 7.0, 3.0])
         data = np.tile(row, (20, 1))
-        with pytest.warns(UserWarning):
-            model = som_train(data, SomConfig(grid_rows=4, grid_cols=4, epochs=100, seed=0))
+        model = som_train(data, SomConfig(grid_rows=4, grid_cols=4, epochs=100, seed=0))
         assert np.allclose(model.mean, row, rtol=0, atol=1e-12)
         assert model.kept_columns.size == 0
         assert som_mqe(model, row) < 1e-3
@@ -58,12 +58,12 @@ class TestSomTrain:
         b = som_train(data, SomConfig(grid_rows=3, grid_cols=3, epochs=50, seed=7))
         assert np.array_equal(a.codebook, b.codebook)
 
+    @pytest.mark.filterwarnings("error")  # the dropped columns are in the model, not a warning
     def test_zero_variance_column_dropped(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((30, 4))
         data[:, 2] = 5.0
-        with pytest.warns(UserWarning, match="zero-variance"):
-            model = som_train(data, SomConfig(grid_rows=3, grid_cols=3, epochs=20, seed=0))
+        model = som_train(data, SomConfig(grid_rows=3, grid_cols=3, epochs=20, seed=0))
         assert model.dropped_columns == (2,)
         assert list(model.kept_columns) == [0, 1, 3]
 

@@ -79,6 +79,15 @@ class TestReadImsFile:
             read_ims_file(path, 20000.0)
         assert excinfo.value.line == 3
 
+    def test_mixed_line_ends_each_end_a_line(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"sample\r1\t2\r\n3\t4\n\r\n5\t6\r7\t8")
+        assert read_ims_file(path, 20000.0).channels.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        path.write_bytes(b"1\t2\r3\t4\r\n\n5\t6\nx\t8\r")
+        with pytest.raises(SignalParseError, match="non-numeric content on line 5") as excinfo:
+            read_ims_file(path, 20000.0)
+        assert excinfo.value.line == 5
+
     def test_byte_order_mark_is_not_a_header(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_bytes(b"\xef\xbb\xbf1.5\t2.0\n3.0\t4.0\n")

@@ -75,8 +75,8 @@ def serial_snapshots(signals, config):
 def fit_record(fit):
     """What a report reads of a fit: a ``CsfResult``'s or a ``SnapshotFit``'s."""
     if isinstance(fit, pipeline.SnapshotFit):
-        return fit.iterations, fit.converged, fit.initial_cost, fit.final_cost
-    return fit.iterations, fit.converged, fit.cost_history[0], fit.cost_history[-1]
+        return fit.iterations, fit.converged, fit.stop, fit.initial_cost, fit.final_cost
+    return fit.iterations, fit.converged, fit.stop, fit.cost_history[0], fit.cost_history[-1]
 
 
 class TestFitSignals:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -185,6 +186,18 @@ class TestFitSimplifiedCsf:
         assert result.iterations <= 1 and not result.converged
         assert np.max(np.abs(result.w - reference.w)) > 0.1
 
+    @pytest.mark.parametrize("scale, config, stop", [
+        (1.0, CsfConfig(filter_length=64), "plateau"),
+        (1.0, CsfConfig(filter_length=64, gradient_tolerance=0.3), "gradient"),
+        (1.0, CsfConfig(filter_length=64, max_iterations=2), "iteration_cap"),
+        (1e-80, CsfConfig(filter_length=64), "line_search"),  # epsilon swamps the cost
+    ])
+    def test_reports_why_it_stopped(self, scale, config, stop):
+        sig = gaussian_with_outlier(4096, 8.0, seed=0)
+        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz), config)
+        assert result.stop == stop
+        assert result.converged == (stop in ("gradient", "plateau"))
+
     def test_constant_signal_degenerate(self):
         sig = Signal(np.full(1024, 2.0), 100.0)
         with pytest.raises(DegenerateInputError):
@@ -220,6 +233,10 @@ class TestFitMed:
         b = fit_med(sig, config)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.filtered, b.filtered)
+
+    def test_reports_no_stop_reason(self):
+        result = fit_med(impulse_train_signal(n=2048, period=32), CsfConfig(filter_length=24))
+        assert result.stop is None
 
     def test_history_is_negative_kurtosis(self):
         sig = impulse_train_signal(n=2048, period=32)
@@ -312,10 +329,11 @@ med = fit_med(gaussian_with_outlier(4096, 8.0, seed=0), CsfConfig(filter_length=
 faults = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 enhanced = Signal(fit.filtered, signal.sample_rate_hz)
 np.savez(sys.argv[1], w=fit.w, filtered=fit.filtered, cost_history=fit.cost_history,
-         iterations=fit.iterations,
+         iterations=fit.iterations, stop=fit.stop,
          raw_features=extract_feature_vector(signal, faults).as_array(),
          filtered_features=extract_feature_vector(enhanced, faults).as_array(),
-         **{f"med_{key}": value for key, value in vars(med).items()})
+         **{f"med_{key}": value for key, value in vars(med).items()
+            if value is not None})  # MED's stop is None, which savez cannot store without pickle
 """
 
 
@@ -361,3 +379,19 @@ def test_lbfgsb_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
         assert get() == 2
     finally:
         set_(original)
+
+
+def test_plateau_stop_is_the_one_the_stop_floor_study_chose():
+    # Moving _PLATEAU_FTOL means re-running studies/stop_floor.py: the constant
+    # must be the study's choice, and the study's record must back it.
+    study = json.loads((Path(__file__).parents[1] / "studies" / "STOP_FLOOR.json").read_text())
+    assert sparse_filter._PLATEAU_FTOL == study["chosen_ftol"]
+    families = study["families"].values()
+    inside = [ftol for ftol in study["grid"]
+              if all(family["inside"][f"{ftol:g}"] for family in families)]
+    assert study["chosen_ftol"] == max(inside)
+    for family in families:
+        moves = family["moves"][f"{study['chosen_ftol']:g}"]
+        for name, spread in family["spread"].items():
+            assert moves[name]["p95"] <= spread["p95"]
+            assert moves[name]["max"] <= spread["max"]
