@@ -84,8 +84,8 @@ def _sidecar_sample_rate(path):
             raise ValueError("sidecar is not a JSON object")
         rate = meta.get("sample_rate_hz")
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                                 or not rate > 0):
-            raise ValueError(f"sample_rate_hz {rate!r} is not a positive number")
+                                 or not 0 < rate <= sys.float_info.max):
+            raise ValueError(f"sample_rate_hz {rate!r} is not a positive finite number")
         return rate
 
 

@@ -33,7 +33,7 @@ class Signal:
         Amplitude values in engineering units (e.g. g).  At least 2 samples,
         all finite.
     sample_rate_hz : float
-        Sampling rate, strictly positive.
+        Sampling rate, strictly positive and finite.
     """
 
     samples: np.ndarray
@@ -47,8 +47,8 @@ class Signal:
             raise ValueError("signal needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < self.sample_rate_hz < np.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         self.sample_rate_hz = float(self.sample_rate_hz)
 
     def __len__(self):

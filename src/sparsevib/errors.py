@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the helper that names an error's source."""
 
-import contextlib
-
 
 class DegenerateInputError(ValueError):
     """Input carries no usable information (all-zero, constant, zero variance)."""
@@ -22,15 +20,19 @@ class SignalParseError(ValueError):
         self.line = line
 
 
-@contextlib.contextmanager
-def naming(name):
+class naming:
     """Prefix a ``ValueError`` or ``NumericalFailureError`` raised inside with ``name: ``.
 
     The error is re-raised as it is, only its message changed, so its type
     and any other attribute (a ``SignalParseError``'s ``line``) stay.
     """
-    try:
-        yield
-    except (ValueError, NumericalFailureError) as exc:
-        exc.args = (f"{name}: {exc}",)
-        raise
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if isinstance(exc, (ValueError, NumericalFailureError)):
+            exc.args = (f"{self.name}: {exc}",)

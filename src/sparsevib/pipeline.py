@@ -337,6 +337,8 @@ def gradient_check(n_trials=20, n_samples=256, filter_length=32, step=1e-6, seed
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     errors = []
     for trial in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))

@@ -70,8 +70,8 @@ class FaultSimConfig:
             raise ValueError("fault_components must not repeat")
         if self.n_samples < 1024:
             raise ValueError("n_samples must be at least 1024")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
+        if not (0 < self.sample_rate_hz < math.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
         if not (0 < self.resonance_hz < self.sample_rate_hz / 2):
             raise ValueError("resonance_hz must lie below Nyquist")
         if not (self.damping_rate > 0):

@@ -6,23 +6,20 @@ Hankel matrix).  The ratio is scale-invariant, bounded in
 ``[1, sqrt(len(f))]``, and reaches its minimum on maximally sparse
 outputs, so descending it concentrates energy into repetitive impacts
 without chasing single outliers the way kurtosis maximization does.
-Minimization runs through an off-the-shelf limited-memory quasi-Newton
-solver with an analytic gradient.
+Minimization runs through a small limited-memory quasi-Newton (L-BFGS)
+solver with an analytic gradient.  Neither the solver nor the cost calls
+BLAS, so a fit is bit-identical at every BLAS thread count.
 
 A classical minimum entropy deconvolution (MED) filter, implemented as a
 fixed-point iteration on the kurtosis objective, is included as the
 comparison baseline.
 """
 
-import contextlib
-import ctypes
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpptrs
-from scipy.optimize import minimize
 
 from .core_signal import _correlator, _validated_filter
 from .errors import DegenerateInputError, NumericalFailureError
@@ -37,82 +34,19 @@ __all__ = [
     "fit_med",
 ]
 
-# Plateau stop: L-BFGS-B ends a fit once the cost's relative reduction over
-# an iteration falls below this (the ``factr`` test of Byrd, Lu, Nocedal &
-# Zhu 1995).  Rounding-level changes to the input (``y * (1 + k 2^-50)``)
-# already move every filtered feature, so refining below that spread buys
-# nothing.  This is the ``chosen_ftol`` of studies/STOP_FLOOR.json: the
-# largest stop whose move stays within that spread, at p95 and at max, on
-# every filtered feature.
-_PLATEAU_FTOL = 3e-7
+# Plateau stop: ``_lbfgs`` ends a fit once the cost's relative reduction over
+# an iteration falls below this (L-BFGS-B's ``factr`` test).  It is the
+# ``chosen_ftol`` of studies/STOP_FLOOR.json, run with ``_lbfgs``: the largest
+# stop whose move on every filtered feature stays within the spread that
+# rounding-level input changes (``y * (1 + k 2^-50)``) give it, at p95 and max.
+_PLATEAU_FTOL = 2e-7
+
+_MEMORY = 10  # (s, y) pairs that _lbfgs keeps
+_ARMIJO = 1e-4  # its line search's sufficient-decrease constant c1
+_MAX_TRIALS = 60  # and the cost evaluations one search may spend
 
 # Why a sparse-filter fit stopped (``CsfResult.stop``).
 STOP_REASONS = ("gradient", "plateau", "iteration_cap", "line_search")
-
-
-def _solver_blas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS that L-BFGS-B calls, or None.
-
-    The symbols are looked up through scipy's L-BFGS-B extension, so this
-    finds whichever OpenBLAS that extension was linked against, and
-    nothing when it was linked against another BLAS.
-    """
-    try:
-        from scipy.optimize import _lbfgsb  # private: may move in a later scipy
-
-        lib = ctypes.CDLL(_lbfgsb.__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):  # scipy's wheels, a system OpenBLAS
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-# Once per iteration scipy's L-BFGS-B solves a triangular system with up
-# to ``maxcor`` right-hand sides (LAPACK ``dtrtrs``), and OpenBLAS splits
-# any such solve over its thread pool, however small.  The pool's worker
-# then spins on another core for the whole fit and every iteration
-# waits for it, so a fit slows by half or more whenever another process
-# wants that core.  The solver therefore runs with its OpenBLAS on one
-# thread; each right-hand side is solved on its own, so its result does
-# not change.  MED needs no pin: its packed factor, from ``_gram_factor``
-# (``l (l + 1) / 2`` doubles, 64 MiB at ``l = 4096``), uses no BLAS, and
-# each of its solves (``dpptrs``) is two packed triangular solves with one
-# right-hand side each, which OpenBLAS does not split.  Parallelism comes
-# from running snapshots side by side (``pipeline.two_branch_features``),
-# never from inside one fit.
-# The previous count is restored when the last concurrent fit returns.
-_SOLVER_THREADS = _solver_blas_threads()
-_solver_lock = threading.Lock()
-_solver_fits = 0  # fits inside the solver
-_solver_restore = None  # thread count before the first of them entered
-
-
-@contextlib.contextmanager
-def _serial_solver():
-    """Run the enclosed L-BFGS-B solve with scipy's OpenBLAS on one thread."""
-    global _solver_fits, _solver_restore
-    if _SOLVER_THREADS is None:
-        yield
-        return
-    get, set_ = _SOLVER_THREADS
-    with _solver_lock:
-        if _solver_fits == 0:
-            _solver_restore = get()
-            set_(1)
-        _solver_fits += 1
-    try:
-        yield
-    finally:
-        with _solver_lock:
-            _solver_fits -= 1
-            if _solver_fits == 0:
-                set_(_solver_restore)
 
 
 @dataclass(frozen=True)
@@ -136,8 +70,8 @@ class CsfConfig:
     def __post_init__(self):
         if self.filter_length < 2:
             raise ValueError("filter_length must be at least 2")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not (self.gradient_tolerance > 0):
@@ -245,6 +179,96 @@ def _check_fit_inputs(signal, config):
     return y
 
 
+def _dot(a, b):
+    """``a . b`` by numpy's einsum loop, not BLAS ``ddot`` (threaded above 10,000 elements)."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _lbfgs(fun, x, gradient_tolerance, max_iterations):
+    """Minimize ``fun`` (cost and gradient ``g``) from ``x`` by L-BFGS (Liu & Nocedal 1989).
+
+    Returns the last iterate, the costs (initial, then one per iteration)
+    and the stop (``CsfResult.stop``); ``gradient_tolerance`` is relative
+    to the initial ``max|g|``.
+
+    The direction is ``-H g`` by the two-loop recursion (Nocedal & Wright
+    2006, Algorithm 7.4) over the last ``_MEMORY`` pairs ``s = x_new - x``,
+    ``y = g_new - g``, scaled by ``gamma = s.y / y.y`` of the newest.  Its
+    loops are solved on inner products (Byrd, Nocedal & Schnabel 1994):
+    with ``R`` the upper triangle of ``S^T Y`` and ``D`` its diagonal, the
+    first loop's ``alpha`` solves ``R alpha = S^T g``, the second loop's
+    ``c`` solves ``R^T c = D alpha - gamma Y^T q`` with ``q = g - Y alpha``,
+    and ``H g = gamma q + S c``.  Keeping ``R^-1`` up to date makes that a
+    few small products, not ``4 _MEMORY`` vector operations.  A pair is
+    stored only when ``s.y > eps (-s.g)``, as in L-BFGS-B, so ``H`` stays
+    positive definite.  The line search halves the step, from 1 (``1/|g|``
+    with no pair stored), until the Armijo condition holds; when it fails,
+    the pairs are dropped and ``-g`` is tried, and with none stored the
+    fit stops.
+    """
+    f, g = fun(x)
+    history = [f]
+    pairs = np.zeros((_MEMORY, 2, x.size))  # s and y of the stored pairs, oldest first
+    r_inv = np.zeros((_MEMORY, _MEMORY))  # R^-1
+    yy = np.zeros((_MEMORY, _MEMORY))  # Y^T Y
+    sy = np.zeros(_MEMORY)  # D
+    coef = np.zeros((_MEMORY, 2))  # the direction's multiple of each s and y
+    n = 0  # pairs stored
+    gamma = 1.0
+    gtol = gradient_tolerance * np.abs(g).max()
+    stop = "gradient" if np.abs(g).max() <= gtol else None
+    while stop is None:
+        d = -g
+        if n:
+            sg, yg = np.einsum("kij,j->ik", pairs[:n], g)
+            alpha = np.einsum("ij,j->i", r_inv[:n, :n], sg)
+            yq = yg - np.einsum("ij,j->i", yy[:n, :n], alpha)
+            coef[:n, 0] = np.einsum("ji,j->i", r_inv[:n, :n], sy[:n] * alpha - gamma * yq)
+            coef[:n, 1] = -gamma * alpha
+            d *= gamma
+            d -= np.einsum("ki,kij->j", coef[:n], pairs[:n])
+        gd = _dot(g, d)
+        step = 1.0 if n else 1.0 / math.hypot(*g)  # g . g can underflow at tiny scales
+        for _ in range(_MAX_TRIALS if gd < 0.0 else 0):  # rounding can undo a descent direction
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if f_new <= f + _ARMIJO * step * gd:
+                break
+            step *= 0.5
+        else:
+            if not n:
+                stop = "line_search"
+            n = 0
+            continue
+
+        s_y = step * (_dot(g_new, d) - gd)
+        if s_y > np.finfo(float).eps * step * -gd:
+            if n == _MEMORY:  # drop the oldest pair; R^-1's trailing block is the new R^-1
+                pairs[:-1] = pairs[1:]
+                r_inv[:-1, :-1] = r_inv[1:, 1:]
+                yy[:-1, :-1] = yy[1:, 1:]
+                sy[:-1] = sy[1:]
+                n -= 1
+            pairs[n] = step * d, g_new - g
+            s_dot_y, y_dot_y = np.einsum("kij,j->ik", pairs[: n + 1], pairs[n, 1])
+            yy[n, : n + 1] = yy[: n + 1, n] = y_dot_y
+            r_inv[:n, n] = np.einsum("ij,j->i", r_inv[:n, :n], s_dot_y[:n]) / -s_y
+            r_inv[n, n] = 1.0 / s_y
+            sy[n] = s_y
+            gamma = s_y / y_dot_y[n]
+            n += 1
+
+        f_old, x, f, g = f, x_new, f_new, g_new
+        history.append(f)
+        if np.abs(g).max() <= gtol:
+            stop = "gradient"
+        elif len(history) > max_iterations:
+            stop = "iteration_cap"
+        elif f_old - f <= _PLATEAU_FTOL * max(abs(f_old), abs(f), 1.0):
+            stop = "plateau"
+    return x, history, stop
+
+
 def fit_simplified_csf(signal, config=None):
     """Learn the sparse filter by quasi-Newton descent on the l1/l2 ratio.
 
@@ -269,47 +293,18 @@ def fit_simplified_csf(signal, config=None):
     """
     config = config or CsfConfig()
     correlate = _correlator(_check_fit_inputs(signal, config), config.filter_length)
-    eps = config.epsilon
 
-    w0 = _initial_filter(config.filter_length)
-    cost0, grad0 = _cost_and_gradient(correlate, w0, eps)
-    gtol = config.gradient_tolerance * max(np.max(np.abs(grad0)), np.finfo(float).tiny)
-
-    history = [cost0]
-
-    def record(intermediate_result):  # scipy passes the OptimizeResult only under this name
-        history.append(intermediate_result.fun)
-
-    with _serial_solver():
-        result = minimize(
-            lambda w: _cost_and_gradient(correlate, w, eps),
-            w0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=record,
-            options={
-                "maxiter": config.max_iterations,
-                "maxcor": 10,
-                "ftol": _PLATEAU_FTOL,
-                "gtol": gtol,
-                "maxls": 60,
-            },
-        )
-
-    if np.max(np.abs(result.jac)) <= gtol:
-        stop = "gradient"
-    else:  # L-BFGS-B's status: 0 its own stop test, 1 the iteration cap, 2 a failed line search
-        stop = {0: "plateau", 1: "iteration_cap"}.get(result.status, "line_search")
-    converged = bool(result.nit > 1 and stop in ("gradient", "plateau"))
-
-    w = result.x / np.linalg.norm(result.x)
-    filtered = correlate(w)
+    x, history, stop = _lbfgs(lambda w: _cost_and_gradient(correlate, w, config.epsilon),
+                              _initial_filter(config.filter_length),
+                              config.gradient_tolerance, config.max_iterations)
+    iterations = len(history) - 1
+    w = x / math.sqrt(_dot(x, x))
     return CsfResult(
         w=w,
-        filtered=filtered,
+        filtered=correlate(w),
         cost_history=np.asarray(history),
-        converged=converged,
-        iterations=int(result.nit),
+        converged=iterations > 1 and stop in ("gradient", "plateau"),
+        iterations=iterations,
         stop=stop,
     )
 

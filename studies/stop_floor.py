@@ -5,9 +5,12 @@
 A filtered feature is determined only up to the spread that rounding-level
 changes to the input give it: fits of ``y * (1 + k * 2**-50)`` land on
 measurably different minima.  Refining a fit below that spread buys
-nothing, so the plateau stop (L-BFGS-B's ``factr`` relative-reduction test,
-``sparse_filter._PLATEAU_FTOL``) may be loosened as long as its move on
-every filtered feature stays inside the spread.
+nothing, so the plateau stop of the fit's L-BFGS solver
+(``sparse_filter._lbfgs``: the relative-reduction test of L-BFGS-B's
+``factr``, on ``sparse_filter._PLATEAU_FTOL``) may be loosened as long as
+its move on every filtered feature stays inside the spread.  Re-run the
+study whenever the solver changes, since the spread and the moves are
+its own.
 
 Two families of held-out signals (seeds 100 and above, none used by the
 acceptance suite) are each fitted
@@ -23,8 +26,8 @@ criterion-08 outcome on held-out dataset seeds at the reference stop and
 every grid stop.  ``chosen_ftol`` is the largest grid stop whose move is
 no larger than the spread at p95 and at max, on every feature of both
 families; ``sparse_filter._PLATEAU_FTOL`` must equal it, which
-``tests/test_sparse_filter.py`` checks.  A run takes about 70 s on a
-2-core host.
+``tests/test_sparse_filter.py`` checks.  A run takes about 4 minutes on one
+CPU of a shared 2-core host.
 """
 
 import argparse

@@ -157,6 +157,14 @@ class TestFilter:
         assert capsys.readouterr().err == (
             "error: signal.csv: MED solve failed (LAPACK dpptrs info=-1)\n")
 
+    def test_infinite_epsilon_is_validation_error(self, sim_csv, tmp_path, capsys):
+        # An infinite epsilon makes every cost NaN: it is rejected before the fit.
+        code = run(["filter", "--input", str(sim_csv), "--epsilon", "inf",
+                    "-o", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: epsilon must be positive and finite\n"
+        assert not (tmp_path / "f.csv").exists()
+
     def test_sample_rate_from_sidecar(self, sim_csv, tmp_path):
         # no --sample-rate flag: the simulate sidecar supplies it
         code = run(["filter", "--input", str(sim_csv), "--filter-length", "32",
@@ -230,7 +238,9 @@ class TestFeatures:
                     "-o", str(tmp_path / "f.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("sidecar", ['[]', '{"sample_rate_hz": "abc"}'])
+    @pytest.mark.parametrize("sidecar", [
+        '[]', '{"sample_rate_hz": "abc"}', '{"sample_rate_hz": Infinity}',
+        pytest.param('{"sample_rate_hz": 1%s}' % ("0" * 400), id="integer_beyond_float")])
     def test_bad_sidecar_is_validation_error(self, sim_csv, tmp_path, capsys, sidecar):
         (tmp_path / "signal.csv.json").write_text(sidecar)
         code = run(["features", "--input", str(sim_csv),
@@ -584,6 +594,16 @@ def test_fit_and_feature_errors_name_the_file(tmp_path, capsys, argv, samples, m
     assert capsys.readouterr().err == f"error: rec.csv: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["features", "assess"])
+def test_infinite_sample_rate_is_validation_error(sim_csv, tmp_path, capsys, command):
+    argv = {"features": ["features", "--input", str(sim_csv)],
+            "assess": ["assess", "--simulate-degradation"]}[command]
+    code = run([*argv, "--sample-rate", "inf", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+                "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.endswith("sample_rate_hz must be positive and finite\n")
+
+
 def write_manifest(tmp_path, signals):
     """One snapshot file per signal, labelled normal and outer in turn, and their manifest."""
     from sparsevib import write_ims_file
@@ -890,6 +910,12 @@ class TestGradcheck:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "n_trials" in err
 
+    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
+    def test_step_must_be_positive_and_finite(self, capsys, step):
+        code = run(["gradcheck", "--trials", "1", "--step", step])
+        assert code == 1
+        assert f"step must be positive and finite, got {float(step)}" in capsys.readouterr().err
+
     def test_tight_tolerance_fails(self):
         code = run(["gradcheck", "--trials", "3", "--n", "128",
                     "--filter-length", "16", "--tolerance", "1e-14"])
@@ -916,11 +942,13 @@ class TestOutputDirEnv:
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # A fresh interpreter: this test process may have imported scipy.signal itself.
+    # A fresh interpreter: this test process may have imported either module itself.
+    # Neither scipy.signal nor scipy.optimize is used, and each would add to every start.
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, sparsevib.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, sparsevib.cli; "
+            "print([name for name in ('scipy.signal', 'scipy.optimize') if name in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
