@@ -151,16 +151,11 @@ _FIELD_FLAGS = {
     "--roller-hz": ("roller_fault_hz", {}),
     "--jitter": ("period_jitter_fraction", {"help": "period jitter fraction"}),
     "--filter-length": ("filter_length", {}),
-    "--epsilon": ("epsilon", {"help": "soft-absolute smoothing of the sparse filter's cost; "
-                                      "MED does not read it"}),
-    "--max-iterations": ("max_iterations", {}),
-    "--gradient-tolerance": ("gradient_tolerance", {}),
     "--som-epochs": ("epochs", {}),
     "--seed": ("seed", {}),
 }
 _SIM_FIELD_FLAGS = ("--snr-db", "--n-samples", "--resonance-hz", "--damping-rate", "--outer-hz",
                     "--jitter")
-_CSF_FLAGS = ("--filter-length", "--epsilon", "--max-iterations", "--gradient-tolerance")
 
 # Flags of ``assess`` and ``classify`` that only simulated input reads, by dest.
 # They are registered without a default, so one given with file input shows
@@ -439,6 +434,8 @@ def cmd_classify(args):
 
 
 def cmd_gradcheck(args):
+    if not 0 <= args.tolerance < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {args.tolerance}")
     errors = gradient_check(n_trials=args.n_trials, n_samples=args.n_samples,
                             filter_length=args.filter_length, step=args.step,
                             seed=args.seed)
@@ -446,7 +443,7 @@ def cmd_gradcheck(args):
     print(f"{args.n_trials} trials (N={args.n_samples}, l={args.filter_length}, "
           f"step={args.step:g}): "
           f"max relative error {worst:.3e}")
-    if worst > args.tolerance:
+    if not worst <= args.tolerance:  # a NaN error fails too
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")
         return EXIT_VALIDATION
     print(f"OK: within tolerance {args.tolerance:g}")
@@ -472,7 +469,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     p.add_argument("--method", choices=("csf", "med"), default="csf")
-    _add_field_flags(p, csf, *_CSF_FLAGS)
+    _add_field_flags(p, csf, "--filter-length")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -496,7 +493,7 @@ def build_parser():
     _add_field_flags(p, som, "--som-epochs")
     _add_fault_freq_flags(p, sim)
     _add_field_flags(p, sim, "--sample-rate", "--seed")
-    _add_field_flags(p, csf, *_CSF_FLAGS)
+    _add_field_flags(p, csf, "--filter-length")
     _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
                           *_SIM_FIELD_FLAGS)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
@@ -510,7 +507,7 @@ def build_parser():
     _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts"})
     _add_fault_freq_flags(p, sim)
     _add_field_flags(p, sim, "--sample-rate", "--seed")
-    _add_field_flags(p, csf, *_CSF_FLAGS)
+    _add_field_flags(p, csf, "--filter-length")
     _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
                           "--inner-hz", "--roller-hz")
     p.add_argument("-o", "--output-dir", required=True)

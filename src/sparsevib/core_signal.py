@@ -254,9 +254,9 @@ def envelope_spectrum(signal):
     env = hilbert_envelope(signal).samples
     env = env - env.mean()
     n = env.size
-    mags = np.abs(np.fft.rfft(env)) / n
+    mags = np.abs(sp_fft.rfft(env)) / n
     # Double the bins that carry a conjugate twin (not DC, not Nyquist for even N).
     upper = mags.size - 1 if n % 2 == 0 else mags.size
     mags[1:upper] *= 2.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
+    freqs = sp_fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
     return Spectrum(freqs, mags)

@@ -41,6 +41,11 @@ __all__ = [
 # rounding-level input changes (``y * (1 + k 2^-50)``) give it, at p95 and max.
 _PLATEAU_FTOL = 2e-7
 
+_EPSILON = 1e-8  # the cost's soft-absolute smoothing, sqrt(f^2 + eps)
+_MAX_ITERATIONS = 500  # iteration cap of the CSF and MED fits
+_GRADIENT_TOL = 1e-6  # CSF stop: max|g| relative to the initial max|g|
+_MED_STEP_TOL = 1e-6  # MED stop: ||w_new - w|| between unit-norm filters
+
 _MEMORY = 10  # (s, y) pairs that _lbfgs keeps
 _ARMIJO = 1e-4  # its line search's sufficient-decrease constant c1
 _MAX_TRIALS = 60  # and the cost evaluations one search may spend
@@ -51,31 +56,18 @@ STOP_REASONS = ("gradient", "plateau", "iteration_cap", "line_search")
 
 @dataclass(frozen=True)
 class CsfConfig:
-    """Settings for sparse-filter and MED fits.
+    """Settings for sparse-filter and MED fits: the number of FIR taps ``l`` (2 <= l <= N/2).
 
-    filter_length       number of FIR taps ``l`` (2 <= l <= N/2)
-    epsilon             soft-absolute smoothing constant
-    max_iterations      iteration cap for the optimizer
-    gradient_tolerance  convergence tolerance, relative to the initial
-                        gradient norm (for MED: relative filter change)
-
-    Every fit starts from the unit spike at tap ``ceil(l/2)``.
+    Every fit starts from the unit spike at tap ``ceil(l/2)``.  The cost's
+    smoothing, the iteration cap and the stop tolerances are this module's
+    constants.
     """
 
     filter_length: int = 100
-    epsilon: float = 1e-8
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.filter_length < 2:
             raise ValueError("filter_length must be at least 2")
-        if not (0 < self.epsilon < math.inf):
-            raise ValueError("epsilon must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not (self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass
@@ -112,7 +104,7 @@ def _soft_abs_sums(f, epsilon):
     return c, c.sum(), s2
 
 
-def csf_cost(f, epsilon=1e-8):
+def csf_cost(f, epsilon=_EPSILON):
     """Smoothed l1/l2 sparsity ratio of a vector.
 
     Each ``|f_i|`` is replaced by the soft absolute ``sqrt(f_i^2 + eps)``;
@@ -153,7 +145,7 @@ def _cost_and_gradient(correlate, w, epsilon):
     return s1 / s2, correlate(per_sample)
 
 
-def csf_gradient(signal, w, epsilon=1e-8):
+def csf_gradient(signal, w, epsilon=_EPSILON):
     """Analytic gradient of ``csf_cost(convolve_valid(signal, w))`` in ``w``."""
     w = _validated_filter(signal, w)
     if not (epsilon > 0):
@@ -287,16 +279,15 @@ def fit_simplified_csf(signal, config=None):
     CsfResult
         ``converged`` is False when the fit stopped at the iteration cap
         or on a failed line search (``stop``), or when the solver stopped
-        within one iteration (at an extreme input scale ``epsilon``
+        within one iteration (at an extreme input scale ``_EPSILON``
         flattens the cost and the fit barely leaves its starting spike).
         None of these is an error.
     """
     config = config or CsfConfig()
     correlate = _correlator(_check_fit_inputs(signal, config), config.filter_length)
 
-    x, history, stop = _lbfgs(lambda w: _cost_and_gradient(correlate, w, config.epsilon),
-                              _initial_filter(config.filter_length),
-                              config.gradient_tolerance, config.max_iterations)
+    x, history, stop = _lbfgs(lambda w: _cost_and_gradient(correlate, w, _EPSILON),
+                              _initial_filter(config.filter_length), _GRADIENT_TOL, _MAX_ITERATIONS)
     iterations = len(history) - 1
     w = x / math.sqrt(_dot(x, x))
     return CsfResult(
@@ -379,7 +370,7 @@ def fit_med(signal, config=None):
     valid windows and ``b_j = sum_i f_i^3 y_{i+j-1}``, solved by LAPACK's
     ``dpptrs`` with ``A``'s packed Cholesky factor (``l (l + 1) / 2``
     doubles, 64 MiB at ``l = 4096``); the new filter is renormalized each
-    pass.  Stops when the filter change drops below ``gradient_tolerance``
+    pass.  Stops when the filter change drops below ``_MED_STEP_TOL``
     or the iteration cap is hit.  The negative output kurtosis is appended
     to ``cost_history`` per pass.
     """
@@ -401,7 +392,7 @@ def fit_med(signal, config=None):
         converged = False
         iterations = 0
 
-        for _ in range(config.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             b = correlate(f**3)
             w_new, info = dpptrs(l, factor, b, lower=1, overwrite_b=1)
             if info != 0:
@@ -416,7 +407,7 @@ def fit_med(signal, config=None):
             f = correlate(w)
             history.append(-kurtosis(f))
             iterations += 1
-            if delta < config.gradient_tolerance:
+            if delta < _MED_STEP_TOL:
                 converged = True
                 break
 

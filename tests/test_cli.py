@@ -157,14 +157,6 @@ class TestFilter:
         assert capsys.readouterr().err == (
             "error: signal.csv: MED solve failed (LAPACK dpptrs info=-1)\n")
 
-    def test_infinite_epsilon_is_validation_error(self, sim_csv, tmp_path, capsys):
-        # An infinite epsilon makes every cost NaN: it is rejected before the fit.
-        code = run(["filter", "--input", str(sim_csv), "--epsilon", "inf",
-                    "-o", str(tmp_path / "f.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == "error: epsilon must be positive and finite\n"
-        assert not (tmp_path / "f.csv").exists()
-
     def test_sample_rate_from_sidecar(self, sim_csv, tmp_path):
         # no --sample-rate flag: the simulate sidecar supplies it
         code = run(["filter", "--input", str(sim_csv), "--filter-length", "32",
@@ -274,7 +266,12 @@ class TestAssess:
         assert lines[0] == "file_index,mqe_raw,mqe_filtered"
         assert len(lines) == 26
         report = json.loads((tmp_path / "mqe.csv.json").read_text())
-        jsonschema.validate(report, load_schema("report_assess.schema.json"))
+        schema = load_schema("report_assess.schema.json")
+        jsonschema.validate(report, schema)
+        assert report["csf_config"] == {"filter_length": 50}
+        report["csf_config"]["epsilon"] = 1e-8  # a stale key
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
         assert report["n_train"] == 8
         config = report["source"]["simulated_degradation"]["config"]
         assert config["fault_components"] == ["outer"]
@@ -463,7 +460,12 @@ class TestClassify:
         ])
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
-        jsonschema.validate(report, load_schema("report_classify.schema.json"))
+        schema = load_schema("report_classify.schema.json")
+        jsonschema.validate(report, schema)
+        assert report["csf_config"] == {"filter_length": 50}
+        report["csf_config"]["max_iterations"] = 500  # a stale key
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
         assert len(report["labels"]) == 16
         check_filter_fits(report["filter_fits"], 16)
         vat = np.loadtxt(outdir / "vat_filtered.csv", delimiter=",")
@@ -797,6 +799,20 @@ class TestFlags:
             run(["filter", "--input", "signal.csv", flag, value, "-o", str(tmp_path / "out.csv")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("mode", [["filter", "--input", "signal.csv"],
+                                      ["assess", "--simulate-degradation"],
+                                      ["classify", "--simulate-taxonomy"]])
+    @pytest.mark.parametrize("flag", ["--epsilon", "--max-iterations", "--gradient-tolerance"])
+    def test_removed_fit_flags_are_rejected(self, mode, flag, tmp_path, capsys):
+        # The cost's smoothing, the iteration cap and the stops are sparse_filter constants.
+        with pytest.raises(SystemExit) as excinfo:
+            run([mode[0], "--help"])
+        assert excinfo.value.code == 0
+        assert flag not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            run(mode + [flag, "1", "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+
     def test_channel_rejected_with_simulated_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["assess", "--simulate-degradation", "--channel", "7",
@@ -915,6 +931,19 @@ class TestGradcheck:
         code = run(["gradcheck", "--trials", "1", "--step", step])
         assert code == 1
         assert f"step must be positive and finite, got {float(step)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_non_negative_and_finite(self, capsys, tolerance):
+        # No error can exceed a NaN tolerance, so it would pass every check.
+        code = run(["gradcheck", "--trials", "2", "--tolerance", tolerance])
+        assert code == 1
+        assert (f"tolerance must be non-negative and finite, got {float(tolerance)}"
+                in capsys.readouterr().err)
+
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "csf_gradient", lambda signal, w: np.full(w.size, np.nan))
+        assert run(["gradcheck", "--trials", "2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_tight_tolerance_fails(self):
         code = run(["gradcheck", "--trials", "3", "--n", "128",

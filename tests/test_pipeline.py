@@ -24,7 +24,7 @@ from sparsevib import (
     two_branch_features,
     write_ims_file,
 )
-from sparsevib import ingest, pipeline
+from sparsevib import ingest, pipeline, sparse_filter
 from sparsevib.ingest import RunToFailureFiles
 from sparsevib.simulate import LabeledDataset
 
@@ -156,7 +156,8 @@ class TestFitSignals:
 
         signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=1024, seed=s))
                    for s in range(60)]
-        config = CsfConfig(filter_length=16, max_iterations=5)
+        config = CsfConfig(filter_length=16)
+        monkeypatch.setattr(sparse_filter, "_MAX_ITERATIONS", 5)  # forked helpers inherit it
         want_raw, expected, want_filtered = serial_snapshots(signals, config)
         monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
         fake_affinity(monkeypatch, 6)

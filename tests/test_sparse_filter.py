@@ -140,7 +140,7 @@ class TestFitSimplifiedCsf:
         for j in range(config.filter_length):
             delta = np.zeros(config.filter_length)
             delta[j] = 1.0
-            delta_costs.append(csf_cost(convolve_valid(sig, delta), config.epsilon))
+            delta_costs.append(csf_cost(convolve_valid(sig, delta), sparse_filter._EPSILON))
         assert result.cost_history[-1] < min(delta_costs)
 
     def test_cost_history_nonincreasing(self):
@@ -186,15 +186,19 @@ class TestFitSimplifiedCsf:
         assert result.iterations <= 1 and not result.converged
         assert np.max(np.abs(result.w - reference.w)) > 0.1
 
+    # ``config`` sets the fit's stop constants, which it hands to ``_lbfgs``.
     @pytest.mark.parametrize("scale, config, stop", [
-        (1.0, CsfConfig(filter_length=64), "plateau"),
-        (1.0, CsfConfig(filter_length=64, gradient_tolerance=0.3), "gradient"),
-        (1.0, CsfConfig(filter_length=64, max_iterations=2), "iteration_cap"),
-        (1e-80, CsfConfig(filter_length=64), "line_search"),  # epsilon swamps the cost
+        (1.0, {}, "plateau"),
+        (1.0, {"_GRADIENT_TOL": 0.3}, "gradient"),
+        (1.0, {"_MAX_ITERATIONS": 2}, "iteration_cap"),
+        (1e-80, {}, "line_search"),  # epsilon swamps the cost
     ])
-    def test_reports_why_it_stopped(self, scale, config, stop):
+    def test_reports_why_it_stopped(self, scale, config, stop, monkeypatch):
+        for name, value in config.items():
+            monkeypatch.setattr(sparse_filter, name, value)
         sig = gaussian_with_outlier(4096, 8.0, seed=0)
-        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz), config)
+        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz),
+                                    CsfConfig(filter_length=64))
         assert result.stop == stop
         assert result.converged == (stop in ("gradient", "plateau"))
 
@@ -273,12 +277,12 @@ class TestFitMed:
         w = np.zeros(l)
         w[(l + 1) // 2 - 1] = 1.0
         iterations = 0
-        for _ in range(config.max_iterations):
+        for _ in range(sparse_filter._MAX_ITERATIONS):
             w_new = cho_solve(factor, windows.T @ (windows @ w) ** 3)
             w_new /= np.linalg.norm(w_new)
             delta = np.linalg.norm(w_new - w)
             w, iterations = w_new, iterations + 1
-            if delta < config.gradient_tolerance:
+            if delta < sparse_filter._MED_STEP_TOL:
                 break
         result = fit_med(sig, config)
         assert result.iterations == iterations
@@ -372,14 +376,14 @@ def test_lbfgs_agrees_with_scipy_lbfgsb_within_the_rounding_spread():
         for k in range(5):
             fun = partial(sparse_filter._cost_and_gradient,
                           _correlator(signal.samples * (1 + k * 2.0**-50), config.filter_length),
-                          epsilon=config.epsilon)
-            gtol = config.gradient_tolerance * np.abs(fun(w0)[1]).max()
+                          epsilon=sparse_filter._EPSILON)
+            gtol = sparse_filter._GRADIENT_TOL * np.abs(fun(w0)[1]).max()
             reference.append(minimize(fun, w0, jac=True, method="L-BFGS-B", options={
-                "maxiter": config.max_iterations, "maxcor": 10, "maxls": 60, "gtol": gtol,
+                "maxiter": sparse_filter._MAX_ITERATIONS, "maxcor": 10, "maxls": 60, "gtol": gtol,
                 "ftol": sparse_filter._PLATEAU_FTOL}).fun)
             if k == 0:
-                _, history, stop = sparse_filter._lbfgs(fun, w0, config.gradient_tolerance,
-                                                       config.max_iterations)
+                _, history, stop = sparse_filter._lbfgs(fun, w0, sparse_filter._GRADIENT_TOL,
+                                                       sparse_filter._MAX_ITERATIONS)
                 assert stop == "plateau"
         moves.append(history[-1] - reference[0])
         spread.extend(abs(cost - reference[0]) for cost in reference[1:])

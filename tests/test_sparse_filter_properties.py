@@ -11,6 +11,7 @@ import pytest
 
 from sparsevib import (CsfConfig, Signal, convolve_valid, csf_cost, csf_gradient, fit_med,
                        fit_simplified_csf)
+from sparsevib.sparse_filter import _EPSILON
 
 from test_sparse_filter import finite_difference_gradient
 
@@ -39,13 +40,13 @@ def test_gradient_matches_finite_differences(shape, seed):
     signal = Signal(rng.standard_normal(n), 1.0)
     w = rng.standard_normal(l)
     w /= np.linalg.norm(w)
-    analytic = csf_gradient(signal, w, 1e-8)
-    numeric = finite_difference_gradient(signal, w, 1e-8, step=STEP)
+    analytic = csf_gradient(signal, w, _EPSILON)
+    numeric = finite_difference_gradient(signal, w, _EPSILON, step=STEP)
     # The central difference errs by its truncation (up to ~2e-5 of the
     # gradient for short signals and long filters) plus the cost's own
     # rounding, about sqrt(n) eps relative for a sum over n samples,
     # divided by the step.
-    cost = csf_cost(convolve_valid(signal, w), 1e-8)
+    cost = csf_cost(convolve_valid(signal, w), _EPSILON)
     rounding = 10 * np.sqrt(n) * np.finfo(float).eps * cost / STEP
     assert np.max(np.abs(analytic - numeric)) <= 1e-4 * np.max(np.abs(numeric)) + rounding
 
