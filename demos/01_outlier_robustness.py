@@ -8,7 +8,7 @@ concentration max|f| / ||f||_2 makes the difference quantitative.
 
 import numpy as np
 
-from sparsevib import CsfConfig, fit_med, fit_simplified_csf, gaussian_with_outlier
+from sparsevib import fit_med, fit_simplified_csf, gaussian_with_outlier
 
 N = 8192
 
@@ -21,8 +21,8 @@ def main():
     print(f"{'seed':>4} {'MED (l=N/2)':>12} {'CSF (l=100)':>12}")
     for seed in range(5):
         signal = gaussian_with_outlier(N, outlier_sigma=8.0, seed=seed)
-        med = fit_med(signal, CsfConfig(filter_length=N // 2))
-        csf = fit_simplified_csf(signal, CsfConfig(filter_length=100))
+        med = fit_med(signal, filter_length=N // 2)
+        csf = fit_simplified_csf(signal, filter_length=100)
         print(f"{seed:>4} {concentration(med.filtered):>12.3f} "
               f"{concentration(csf.filtered):>12.3f}")
     print("\nMED rams everything into the outlier (concentration near 1);")

@@ -7,7 +7,6 @@ median spectral level, with and without the sparse filter.
 import numpy as np
 
 from sparsevib import (
-    CsfConfig,
     FaultSimConfig,
     Signal,
     envelope_spectrum,
@@ -35,7 +34,7 @@ def main():
         fault_components=("outer",), snr_db=-8.0, damping_rate=2000.0, seed=0
     )
     signal = simulate_bearing_fault(config)
-    fit = fit_simplified_csf(signal, CsfConfig(filter_length=100))
+    fit = fit_simplified_csf(signal, filter_length=100)
     filtered = Signal(fit.filtered, signal.sample_rate_hz)
 
     for name, sig in (("raw", signal), ("filtered", filtered)):

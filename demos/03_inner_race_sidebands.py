@@ -8,7 +8,6 @@ the 160 Hz defect line flanked by sidebands at 160 +- 33.3 Hz.
 import numpy as np
 
 from sparsevib import (
-    CsfConfig,
     FaultSimConfig,
     Signal,
     envelope_spectrum,
@@ -31,7 +30,7 @@ def main():
         damping_rate=2000.0, seed=0,
     )
     signal = simulate_bearing_fault(config)
-    fit = fit_simplified_csf(signal, CsfConfig(filter_length=100))
+    fit = fit_simplified_csf(signal, filter_length=100)
     spec = envelope_spectrum(Signal(fit.filtered, signal.sample_rate_hz))
 
     fault = config.inner_fault_hz

@@ -9,7 +9,6 @@ more cleanly than the raw branch.
 import numpy as np
 
 from sparsevib import (
-    CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
     assess_sequence,
@@ -32,7 +31,7 @@ def main():
         damping_rate=2000.0, seed=0,
     )
     signals = make_degradation_sequence(n_files=60, onset_index=25, base_config=base)
-    report = assess_sequence(signals, FAULTS, CsfConfig(filter_length=50), n_train=20)
+    report = assess_sequence(signals, FAULTS, filter_length=50, n_train=20)
 
     for name, branch in (("raw", report.raw), ("filtered", report.filtered)):
         print(f"{name:>8}: alarm at file {branch.alarm_index} "

@@ -9,7 +9,6 @@ diagonal mean the classes separate cleanly.
 import numpy as np
 
 from sparsevib import (
-    CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
     classify_dataset,
@@ -35,7 +34,7 @@ def ascii_vat(matrix, cells=40):
 def main():
     base = FaultSimConfig(snr_db=-3.0, n_samples=8192, damping_rate=2000.0)
     dataset = make_fault_taxonomy_dataset(5, base, seed=0)
-    report = classify_dataset(dataset, FAULTS, CsfConfig(filter_length=100),
+    report = classify_dataset(dataset, FAULTS, filter_length=100,
                               n_restarts=10, seed=0)
 
     print(f"k-means purity: raw {report.raw.purity:.3f}, "

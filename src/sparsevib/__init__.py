@@ -53,7 +53,6 @@ from .pipeline import (
     classify_dataset,
     filter_signal,
     gradient_check,
-    two_branch_features,
 )
 from .simulate import (
     TAXONOMY,
@@ -65,7 +64,6 @@ from .simulate import (
     simulate_bearing_fault,
 )
 from .sparse_filter import (
-    CsfConfig,
     CsfResult,
     csf_cost,
     csf_gradient,

@@ -37,7 +37,7 @@ from .simulate import (
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
 )
-from .sparse_filter import STOP_REASONS, CsfConfig
+from .sparse_filter import STOP_REASONS
 
 OUTPUT_DIR_ENV = "SPARSEVIB_OUTPUT_DIR"
 
@@ -123,6 +123,8 @@ def _fault_frequencies_from_args(args):
     if has_geometry:
         try:
             n, d, big_d, angle = (float(t) for t in args.geometry.split(","))
+            if not n.is_integer():  # a roller count; nan and inf fail too
+                raise ValueError
         except ValueError:
             raise ValueError("--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad")
         if "shaft_hz" not in vars(args):
@@ -150,7 +152,6 @@ _FIELD_FLAGS = {
     "--inner-hz": ("inner_fault_hz", {}),
     "--roller-hz": ("roller_fault_hz", {}),
     "--jitter": ("period_jitter_fraction", {"help": "period jitter fraction"}),
-    "--filter-length": ("filter_length", {}),
     "--som-epochs": ("epochs", {}),
     "--seed": ("seed", {}),
 }
@@ -263,17 +264,16 @@ def cmd_simulate(args):
 
 def cmd_filter(args):
     signal = _read_signal(args.input, args.sample_rate_hz)
-    config = _config_from_args(CsfConfig, args)
     t0 = time.perf_counter()
     with naming(Path(args.input).name):
-        result = filter_signal(signal, config, method=args.method)
+        result = filter_signal(signal, args.filter_length, method=args.method)
     wall = time.perf_counter() - t0
     out = _out_path(args.output)
     write_ims_file(out, result.filtered[:, None], header="sample")
     report = {
         "kind": "filter",
         "method": args.method,
-        "config": asdict(config),
+        "config": {"filter_length": args.filter_length},
         "sample_rate_hz": signal.sample_rate_hz,
         "input_samples": len(signal),
         "output_samples": int(result.filtered.size),
@@ -348,9 +348,8 @@ def cmd_assess(args):
         signals = make_degradation_sequence(args.n_files, args.onset, base)
         source = {"simulated_degradation": {"n_files": args.n_files, "onset": args.onset,
                                             "config": asdict(base, dict_factory=_json_dict)}}
-    csf_config = _config_from_args(CsfConfig, args)
     som_config = _som_config_from_args(args)
-    report = assess_sequence(signals, faults, csf_config, som_config,
+    report = assess_sequence(signals, faults, args.filter_length, som_config,
                              n_train=args.n_train, band_fraction=args.band_fraction)
     if args.input_dir:
         source["parse_errors"] = report.parse_errors
@@ -367,7 +366,7 @@ def cmd_assess(args):
         "n_train": report.n_train,
         "band_fraction": args.band_fraction,
         "fault_frequencies_hz": _fault_block(faults),
-        "csf_config": asdict(csf_config),
+        "csf_config": {"filter_length": args.filter_length},
         "som": asdict(som_config),
         "raw": _assess_branch_block(report.raw),
         "filtered": _assess_branch_block(report.filtered),
@@ -394,8 +393,7 @@ def cmd_classify(args):
         dataset = make_fault_taxonomy_dataset(args.n_per_class, base, seed=args.seed)
         source = {"simulated_taxonomy": {"n_per_class": args.n_per_class,
                                          "config": asdict(base, dict_factory=_json_dict)}}
-    csf_config = _config_from_args(CsfConfig, args)
-    report = classify_dataset(dataset, faults, csf_config,
+    report = classify_dataset(dataset, faults, args.filter_length,
                               band_fraction=args.band_fraction,
                               n_restarts=args.n_restarts, seed=args.seed)
 
@@ -416,7 +414,7 @@ def cmd_classify(args):
         "seed": args.seed,
         "band_fraction": args.band_fraction,
         "fault_frequencies_hz": _fault_block(faults),
-        "csf_config": asdict(csf_config),
+        "csf_config": {"filter_length": args.filter_length},
         "kmeans_restarts": args.n_restarts,
         "raw": {"purity": report.raw.purity,
                 "explained_variance": report.raw.explained_variance_fractions.tolist(),
@@ -457,7 +455,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim, csf, som = FaultSimConfig(), CsfConfig(), SomConfig()
+    sim, som = FaultSimConfig(), SomConfig()
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
     _add_field_flags(p, sim, "--fault", "--sample-rate", "--shaft-hz", *_SIM_FIELD_FLAGS,
                      "--inner-hz", "--roller-hz", "--seed")
@@ -469,7 +467,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     p.add_argument("--method", choices=("csf", "med"), default="csf")
-    _add_field_flags(p, csf, "--filter-length")
+    _add_param_flags(p, filter_signal, {"--filter-length": "filter_length"})
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -487,13 +485,13 @@ def build_parser():
     group.add_argument("--simulate-degradation", action="store_true",
                        help="simulate an outer-race fault growing from --onset")
     p.add_argument("--channel", type=int, default=None)
-    _add_param_flags(p, assess_sequence, {"--n-train": "n_train"})
+    _add_param_flags(p, assess_sequence, {"--n-train": "n_train",
+                                          "--filter-length": "filter_length"})
     p.add_argument("--som-grid", default=f"{som.grid_rows}x{som.grid_cols}",
                    help="ROWSxCOLS (default %(default)s)")
     _add_field_flags(p, som, "--som-epochs")
     _add_fault_freq_flags(p, sim)
     _add_field_flags(p, sim, "--sample-rate", "--seed")
-    _add_field_flags(p, csf, "--filter-length")
     _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
                           *_SIM_FIELD_FLAGS)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
@@ -504,10 +502,10 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--simulate-taxonomy", action="store_true")
     group.add_argument("--manifest", help="CSV manifest: path,label per row")
-    _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts"})
+    _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts",
+                                           "--filter-length": "filter_length"})
     _add_fault_freq_flags(p, sim)
     _add_field_flags(p, sim, "--sample-rate", "--seed")
-    _add_field_flags(p, csf, "--filter-length")
     _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
                           "--inner-hz", "--roller-hz")
     p.add_argument("-o", "--output-dir", required=True)

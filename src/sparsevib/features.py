@@ -42,8 +42,10 @@ class BearingGeometry:
     def __post_init__(self):
         if self.n_rolling_elements < 2:
             raise ValueError("need at least 2 rolling elements")
-        if not (0 < self.roller_diameter < self.pitch_diameter):
-            raise ValueError("require 0 < roller_diameter < pitch_diameter")
+        if not (0 < self.roller_diameter < self.pitch_diameter < math.inf):
+            raise ValueError("require 0 < roller_diameter < pitch_diameter, both finite")
+        if not math.isfinite(self.contact_angle_rad):
+            raise ValueError("contact_angle_rad must be finite")
         ratio = self.roller_diameter / self.pitch_diameter
         if abs(ratio * math.cos(self.contact_angle_rad)) >= 1.0:
             raise ValueError("invalid geometry: |cos(angle) * d/D| must be < 1")

@@ -27,12 +27,12 @@ from .health_models import (
     vat_order,
 )
 from .ingest import RunToFailureFiles, Skipped
-from .sparse_filter import csf_cost, csf_gradient, fit_med, fit_simplified_csf
+from .sparse_filter import (DEFAULT_FILTER_LENGTH, csf_cost, csf_gradient, fit_med,
+                            fit_simplified_csf)
 
 __all__ = [
     "filter_signal",
     "SnapshotFit",
-    "two_branch_features",
     "BranchAssessment",
     "AssessmentReport",
     "assess_sequence",
@@ -45,12 +45,12 @@ __all__ = [
 ALARM_SIGMA = 6.0
 
 
-def filter_signal(signal, config=None, method="csf"):
+def filter_signal(signal, filter_length=DEFAULT_FILTER_LENGTH, method="csf"):
     """Run the chosen adaptive filter; ``method`` is ``csf`` or ``med``."""
     if method == "csf":
-        return fit_simplified_csf(signal, config)
+        return fit_simplified_csf(signal, filter_length)
     if method == "med":
-        return fit_med(signal, config)
+        return fit_med(signal, filter_length)
     raise ValueError(f"unknown filter method {method!r}")
 
 
@@ -67,14 +67,17 @@ class SnapshotFit:
     final_cost: float
 
 
-def _snapshot(signals, faults, config, band_fraction, i):
+def _snapshot(signals, faults, filter_length, band_fraction, i):
     """Snapshot ``i``'s raw features, fit and filtered features, as one :class:`SnapshotFit`.
 
     ``signals[i]`` reads the file when ``signals`` is an ``ingest`` sequence,
     so the read runs on the CPU that fits it; a read error is raised as it
     is, and a :class:`Skipped` file comes back as it is.  An error of the
     features or the fit names the snapshot: its file's name when
-    ``signals`` has ``paths``, else ``snapshot {i + 1}``.
+    ``signals`` has ``paths``, else ``snapshot {i + 1}``.  The drivers fan
+    these units out with ``_fan_out``; none depends on the process that runs
+    it, so neither do the results, and the lowest-numbered failure is raised
+    whatever the CPU count or the stage that failed.
     """
     signal = signals[i]
     if isinstance(signal, Skipped):
@@ -82,7 +85,7 @@ def _snapshot(signals, faults, config, band_fraction, i):
     name = signals.paths[i].name if hasattr(signals, "paths") else f"snapshot {i + 1}"
     with naming(name):
         raw = extract_feature_vector(signal, faults, band_fraction).as_array()
-        fit = fit_simplified_csf(signal, config)
+        fit = fit_simplified_csf(signal, filter_length)
         enhanced = Signal(fit.filtered, signal.sample_rate_hz)
         filtered = extract_feature_vector(enhanced, faults, band_fraction).as_array()
     return SnapshotFit(raw=raw, filtered=filtered, iterations=fit.iterations,
@@ -178,19 +181,6 @@ def _feature_matrices(fits):
                           feature_names=FEATURE_NAMES))
 
 
-def two_branch_features(signals, faults, csf_config=None, band_fraction=DEFAULT_BAND_FRACTION):
-    """Raw-branch and filtered-branch feature matrices, and the :class:`SnapshotFit` of each signal.
-
-    ``signals`` is a list of Signals or an ``ingest.SnapshotSignals``.  Each
-    is one ``_snapshot``, fanned out over the CPUs by ``_fan_out``.  None of
-    them depends on the process that runs it, so neither do the results.
-    When snapshots fail, the error of the lowest-numbered one is raised,
-    whatever the CPU count or the stage that failed.
-    """
-    fits = _fan_out(partial(_snapshot, signals, faults, csf_config, band_fraction), len(signals))
-    return (*_feature_matrices(fits), fits)
-
-
 @dataclass
 class BranchAssessment:
     mqe: np.ndarray
@@ -228,7 +218,7 @@ def _require_snapshots(count, n_train):
 def assess_sequence(
     signals,
     faults,
-    csf_config=None,
+    filter_length=DEFAULT_FILTER_LENGTH,
     som_config=None,
     n_train=20,
     band_fraction=DEFAULT_BAND_FRACTION,
@@ -247,7 +237,7 @@ def assess_sequence(
     if n_train < 2:
         raise ValueError(f"n_train must be at least 2, got {n_train}")
     _require_snapshots(len(signals), n_train)  # a run's file count bounds its signals from above
-    fits = _fan_out(partial(_snapshot, signals, faults, csf_config, band_fraction), len(signals))
+    fits = _fan_out(partial(_snapshot, signals, faults, filter_length, band_fraction), len(signals))
     parse_errors = []
     if isinstance(signals, RunToFailureFiles):
         sequence = signals.sequence(fits)
@@ -300,7 +290,7 @@ def _classify_branch(matrix, labels, k, n_restarts, seed):
 def classify_dataset(
     dataset,
     faults,
-    csf_config=None,
+    filter_length=DEFAULT_FILTER_LENGTH,
     band_fraction=DEFAULT_BAND_FRACTION,
     n_restarts=10,
     seed=0,
@@ -316,9 +306,9 @@ def classify_dataset(
         raise ValueError("classification needs at least 2 classes")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
-    raw_matrix, filtered_matrix, fits = two_branch_features(
-        dataset.signals, faults, csf_config, band_fraction
-    )
+    signals = dataset.signals
+    fits = _fan_out(partial(_snapshot, signals, faults, filter_length, band_fraction), len(signals))
+    raw_matrix, filtered_matrix = _feature_matrices(fits)
     k = len(classes)
     return ClassificationReport(
         raw=_classify_branch(raw_matrix, labels, k, n_restarts, seed),

@@ -74,10 +74,12 @@ class FaultSimConfig:
             raise ValueError("sample_rate_hz must be positive and finite")
         if not (0 < self.resonance_hz < self.sample_rate_hz / 2):
             raise ValueError("resonance_hz must lie below Nyquist")
-        if not (self.damping_rate > 0):
-            raise ValueError("damping_rate must be positive")
-        if not (self.shaft_hz > 0):
-            raise ValueError("shaft_hz must be positive")
+        if not (0 < self.damping_rate < math.inf):
+            raise ValueError("damping_rate must be positive and finite")
+        if not (0 < self.shaft_hz < math.inf):
+            raise ValueError("shaft_hz must be positive and finite")
+        if not (self.snr_db > -math.inf):  # +inf is a noiseless signal
+            raise ValueError("snr_db must be a number or +inf")
         if not (0 <= self.period_jitter_fraction <= 0.05):
             raise ValueError("period_jitter_fraction must lie in [0, 0.05]")
         for name in self.fault_components:

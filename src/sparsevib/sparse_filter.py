@@ -26,13 +26,15 @@ from .errors import DegenerateInputError, NumericalFailureError
 from .features import kurtosis
 
 __all__ = [
-    "CsfConfig",
     "CsfResult",
     "csf_cost",
     "csf_gradient",
     "fit_simplified_csf",
     "fit_med",
 ]
+
+# The number of FIR taps ``l`` a fit uses when its caller names none (2 <= l <= N/2).
+DEFAULT_FILTER_LENGTH = 100
 
 # Plateau stop: ``_lbfgs`` ends a fit once the cost's relative reduction over
 # an iteration falls below this (L-BFGS-B's ``factr`` test).  It is the
@@ -52,22 +54,6 @@ _MAX_TRIALS = 60  # and the cost evaluations one search may spend
 
 # Why a sparse-filter fit stopped (``CsfResult.stop``).
 STOP_REASONS = ("gradient", "plateau", "iteration_cap", "line_search")
-
-
-@dataclass(frozen=True)
-class CsfConfig:
-    """Settings for sparse-filter and MED fits: the number of FIR taps ``l`` (2 <= l <= N/2).
-
-    Every fit starts from the unit spike at tap ``ceil(l/2)``.  The cost's
-    smoothing, the iteration cap and the stop tolerances are this module's
-    constants.
-    """
-
-    filter_length: int = 100
-
-    def __post_init__(self):
-        if self.filter_length < 2:
-            raise ValueError("filter_length must be at least 2")
 
 
 @dataclass
@@ -160,10 +146,11 @@ def _initial_filter(l):
     return w0
 
 
-def _check_fit_inputs(signal, config):
+def _check_fit_inputs(signal, l):
     y = signal.samples
     n = y.size
-    l = config.filter_length
+    if l < 2:
+        raise ValueError("filter_length must be at least 2")
     if l > n // 2:
         raise ValueError(f"filter_length {l} exceeds N/2 for N={n}")
     if np.ptp(y) == 0.0:
@@ -261,18 +248,20 @@ def _lbfgs(fun, x, gradient_tolerance, max_iterations):
     return x, history, stop
 
 
-def fit_simplified_csf(signal, config=None):
+def fit_simplified_csf(signal, filter_length=DEFAULT_FILTER_LENGTH):
     """Learn the sparse filter by quasi-Newton descent on the l1/l2 ratio.
 
-    The unit-norm constraint on ``w`` is not enforced during iteration
-    (the cost is, up to smoothing, homogeneous of degree zero in ``w``);
-    a single renormalization is applied afterwards and the filtered
-    output recomputed from the normalized coefficients.
+    The fit starts from the unit spike at tap ``ceil(l/2)``.  The unit-norm
+    constraint on ``w`` is not enforced during iteration (the cost is, up
+    to smoothing, homogeneous of degree zero in ``w``); a single
+    renormalization is applied afterwards and the filtered output
+    recomputed from the normalized coefficients.
 
     Parameters
     ----------
     signal : Signal
-    config : CsfConfig, optional
+    filter_length : int
+        The number of FIR taps ``l``, ``2 <= l <= N/2``.
 
     Returns
     -------
@@ -283,11 +272,10 @@ def fit_simplified_csf(signal, config=None):
         flattens the cost and the fit barely leaves its starting spike).
         None of these is an error.
     """
-    config = config or CsfConfig()
-    correlate = _correlator(_check_fit_inputs(signal, config), config.filter_length)
+    correlate = _correlator(_check_fit_inputs(signal, filter_length), filter_length)
 
     x, history, stop = _lbfgs(lambda w: _cost_and_gradient(correlate, w, _EPSILON),
-                              _initial_filter(config.filter_length), _GRADIENT_TOL, _MAX_ITERATIONS)
+                              _initial_filter(filter_length), _GRADIENT_TOL, _MAX_ITERATIONS)
     iterations = len(history) - 1
     w = x / math.sqrt(_dot(x, x))
     return CsfResult(
@@ -362,7 +350,7 @@ def _gram_factor(y, correlate, l):
     return factor
 
 
-def fit_med(signal, config=None):
+def fit_med(signal, filter_length=DEFAULT_FILTER_LENGTH):
     """Minimum entropy deconvolution baseline (kurtosis-maximizing filter).
 
     Fixed-point iteration on the normal equations ``A . w_new = b`` with
@@ -374,9 +362,8 @@ def fit_med(signal, config=None):
     or the iteration cap is hit.  The negative output kurtosis is appended
     to ``cost_history`` per pass.
     """
-    config = config or CsfConfig()
-    y = _check_fit_inputs(signal, config)
-    l = config.filter_length
+    l = filter_length
+    y = _check_fit_inputs(signal, l)
 
     # At extreme scales MED's arithmetic overflows; the finiteness checks below
     # then raise one NumericalFailureError in place of numpy's warnings.

@@ -45,7 +45,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import environment  # noqa: E402  (perfbench/environment.py)
 from sparsevib import (  # noqa: E402
-    CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
     Signal,
@@ -63,7 +62,7 @@ PERTURBATIONS = tuple(1.0 + k * 2.0**-50 for k in range(1, 9))
 STATS = ("p50", "p95", "max")
 
 FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
-CONFIG = CsfConfig(filter_length=100)
+FILTER_LENGTH = 100
 # The shapes of the classify_taxonomy and assess_ims_run benchmark workloads.
 TAXONOMY = {"seeds": [200, 201], "n_per_class": 5, "n_samples": 8192, "snr_db": -2.0,
             "damping_rate": 2000.0}
@@ -104,7 +103,7 @@ def degradation_signals():
 def fit(signal, ftol):
     """The filtered features, iteration count and stop reason of one fit at ``ftol``."""
     with plateau(ftol):
-        result = sparse_filter.fit_simplified_csf(signal, CONFIG)
+        result = sparse_filter.fit_simplified_csf(signal, FILTER_LENGTH)
     enhanced = Signal(result.filtered, signal.sample_rate_hz)
     return extract_feature_vector(enhanced, FAULTS).as_array(), result.iterations, result.stop
 
@@ -159,7 +158,7 @@ def criterion_08(ftol):
     with plateau(ftol):
         for seed in CRITERION_08_SEEDS:
             dataset = make_fault_taxonomy_dataset(10, base, seed=seed)
-            report = classify_dataset(dataset, FAULTS, CONFIG, n_restarts=10, seed=0)
+            report = classify_dataset(dataset, FAULTS, FILTER_LENGTH, n_restarts=10, seed=0)
             ordered = np.array(report.labels)[report.filtered.vat.order]
             blocks = int(1 + np.sum(ordered[1:] != ordered[:-1]))
             iterations += sum(fit.iterations for fit in report.fits)
@@ -189,14 +188,14 @@ def main(argv=None):
         "rule": "largest grid stop whose move is no larger than the spread at p95 and at max "
                 "on every filtered feature of both families",
         "chosen_ftol": chosen,
-        "filter_length": CONFIG.filter_length,
+        "filter_length": FILTER_LENGTH,
         "families": families,
         "criterion_08": {"seeds": CRITERION_08_SEEDS,
                          **{_key(f): criterion_08(f) for f in (REFERENCE_FTOL, *GRID)}},
     }
     result["elapsed_s"] = round(time.perf_counter() - start, 1)
     result["environment"] = environment.describe({"study": "stop_floor",
-                                                  "filter_length": CONFIG.filter_length})
+                                                  "filter_length": FILTER_LENGTH})
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     for name, family in families.items():
         print(name, {f: (family["iterations"][f], family["inside"].get(f))

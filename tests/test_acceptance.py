@@ -13,7 +13,6 @@ import pytest
 from scipy.stats import spearmanr
 
 from sparsevib import (
-    CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
     Signal,
@@ -124,8 +123,8 @@ def test_criterion_04_outlier_robustness():
     med_hits = csf_hits = 0
     for seed in range(10):
         sig = gaussian_with_outlier(8192, 8.0, seed=seed)
-        med = fit_med(sig, CsfConfig(filter_length=4096))
-        csf = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+        med = fit_med(sig, filter_length=4096)
+        csf = fit_simplified_csf(sig, filter_length=100)
         med_hits += concentration(med.filtered) > 0.9
         csf_hits += concentration(csf.filtered) < 0.5
     verdict("4 MED collapses onto the outlier, the sparse filter does not",
@@ -139,7 +138,7 @@ def test_criterion_05_outer_race_enhancement():
         config = FaultSimConfig(fault_components=("outer",), snr_db=-8.0,
                                 n_samples=20480, damping_rate=2000.0, seed=seed)
         sig = simulate_bearing_fault(config)
-        fit = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+        fit = fit_simplified_csf(sig, filter_length=100)
         raw_pass += spectrum_passes(envelope_spectrum(sig), 100.0)
         filtered_pass += spectrum_passes(
             envelope_spectrum(Signal(fit.filtered, sig.sample_rate_hz)), 100.0
@@ -155,7 +154,7 @@ def test_criterion_06_inner_race_enhancement():
         config = FaultSimConfig(fault_components=("inner",), snr_db=-8.0,
                                 n_samples=8192, damping_rate=2000.0, seed=seed)
         sig = simulate_bearing_fault(config)
-        fit = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+        fit = fit_simplified_csf(sig, filter_length=100)
         spec = envelope_spectrum(Signal(fit.filtered, sig.sample_rate_hz))
         raw_pass += spectrum_passes(envelope_spectrum(sig), 160.0)
         filtered_pass += spectrum_passes(spec, 160.0)
@@ -177,7 +176,7 @@ def test_criterion_07_efficiency():
                             n_samples=20480, seed=0)
     sig = simulate_bearing_fault(config)
     t0 = time.perf_counter()
-    fit = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+    fit = fit_simplified_csf(sig, filter_length=100)
     elapsed = time.perf_counter() - t0
     nonincreasing = bool(np.all(np.diff(fit.cost_history) <= 1e-12))
     verdict("7 full-length fit completes within budget",
@@ -190,7 +189,7 @@ def test_criterion_08_classification():
     filtered_purities, raw_purities, contiguous = [], [], []
     for ds_seed in (0, 1, 2):
         dataset = make_fault_taxonomy_dataset(10, base, seed=ds_seed)
-        report = classify_dataset(dataset, FAULTS, CsfConfig(filter_length=100),
+        report = classify_dataset(dataset, FAULTS, filter_length=100,
                                   n_restarts=10, seed=0)
         filtered_purities.append(report.filtered.purity)
         raw_purities.append(report.raw.purity)
@@ -211,7 +210,7 @@ def test_criterion_09_assessment():
     base = FaultSimConfig(fault_components=("outer",), snr_db=0.0,
                           n_samples=4096, damping_rate=2000.0, seed=0)
     signals = make_degradation_sequence(n_files=100, onset_index=40, base_config=base)
-    report = assess_sequence(signals, FAULTS, CsfConfig(filter_length=50), n_train=20)
+    report = assess_sequence(signals, FAULTS, filter_length=50, n_train=20)
     filtered_alarm = report.filtered.alarm_index
     raw_alarm = report.raw.alarm_index if report.raw.alarm_index is not None else 10**9
     rho = spearmanr(np.arange(40, 101), report.filtered.mqe[39:]).statistic

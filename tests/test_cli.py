@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevib import (CsfConfig, FaultSimConfig, SomConfig, gaussian_with_outlier, pipeline,
-                       sparse_filter)
+from sparsevib import FaultSimConfig, SomConfig, gaussian_with_outlier, pipeline, sparse_filter
 from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
                            build_parser, main)
 
@@ -111,6 +110,23 @@ class TestSimulate:
     def test_invalid_component_is_validation_error(self, tmp_path):
         code = run(["simulate", "--fault", "sideways", "-o", str(tmp_path / "x.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--snr-db", "nan"], "snr_db must be a number or +inf"),
+        (["simulate", "--snr-db=-inf"], "snr_db must be a number or +inf"),
+        (["simulate", "--damping-rate", "inf"], "damping_rate must be positive and finite"),
+        (["simulate", "--damping-rate", "nan"], "damping_rate must be positive and finite"),
+        (["simulate", "--fault", "inner", "--shaft-hz", "inf"],
+         "shaft_hz must be positive and finite"),
+        (["assess", "--simulate-degradation", "--snr-db", "nan",
+          "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snr_db must be a number or +inf"),
+    ])
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way
+    def test_non_finite_value_is_validation_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestFilter:
@@ -222,6 +238,19 @@ class TestFeatures:
                     "-o", str(tmp_path / "f.json")])
         assert code == 1
         assert "--geometry needs --shaft-hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("geometry, message", [
+        ("9,1,inf,0", "require 0 < roller_diameter < pitch_diameter, both finite"),
+        ("9,1,4,nan", "contact_angle_rad must be finite"),
+        ("9.5,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
+        ("nan,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
+        ("inf,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
+    ])
+    def test_bad_geometry_is_validation_error(self, sim_csv, tmp_path, capsys, geometry, message):
+        code = run(["features", "--input", str(sim_csv), "--geometry", geometry,
+                    "--shaft-hz", "30", "-o", str(tmp_path / "f.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_mutually_exclusive_sources(self, sim_csv, tmp_path):
         code = run(["features", "--input", str(sim_csv),
@@ -813,6 +842,19 @@ class TestFlags:
             run(mode + [flag, "1", "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("mode, name", [
+        (["filter", "--input", "{sim_csv}"], "signal.csv"),
+        (["assess", "--simulate-degradation", "--n-files", "4", "--onset", "2", "--n-train", "3",
+          "--n-samples", "2048", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snapshot 1"),
+        (["classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048",
+          "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snapshot 1"),
+    ])
+    def test_filter_length_below_two_is_validation_error(self, sim_csv, mode, name, tmp_path,
+                                                         capsys):
+        argv = [arg.format(sim_csv=sim_csv) for arg in mode]
+        assert run([*argv, "--filter-length", "1", "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {name}: filter_length must be at least 2\n"
+
     def test_channel_rejected_with_simulated_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["assess", "--simulate-degradation", "--channel", "7",
@@ -880,15 +922,17 @@ class TestFlags:
         parser = build_parser()
         args = parser.parse_args(["simulate", "-o", "x.csv"])
         assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
+        assert sparse_filter.DEFAULT_FILTER_LENGTH == 100
         args = parser.parse_args(["filter", "--input", "x.csv", "-o", "y.csv"])
-        assert _config_from_args(CsfConfig, args) == CsfConfig()
+        assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
         args = parser.parse_args(["assess", "--simulate-degradation", "-o", "mqe.csv"])
         assert _som_config_from_args(args) == SomConfig()
-        assert _config_from_args(CsfConfig, args) == CsfConfig()
+        assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
         assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
         assert args.n_train == default_of(pipeline.assess_sequence, "n_train")
         args = parser.parse_args(["classify", "--simulate-taxonomy", "-o", "out"])
         assert args.n_restarts == default_of(pipeline.classify_dataset, "n_restarts")
+        assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
         args = parser.parse_args(["gradcheck"])
         params = inspect.signature(pipeline.gradient_check).parameters
         assert {name: getattr(args, name) for name in params} == {

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,10 @@ class TestFaultFrequencies:
             BearingGeometry(1, 1.0, 4.0, 0.0)
         with pytest.raises(ValueError):
             BearingGeometry(8, 5.0, 4.0, 0.0)
+        for diameters_and_angle in ((1.0, math.inf, 0.0), (1.0, 4.0, math.nan),
+                                    (1.0, 4.0, math.inf), (math.nan, 4.0, 0.0)):
+            with pytest.raises(ValueError):
+                BearingGeometry(8, *diameters_and_angle)
 
     def test_invalid_shaft_speed(self):
         geometry = BearingGeometry(8, 1.0, 4.0, 0.0)

@@ -2,12 +2,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sparsevib import (
-    CsfConfig,
     DegenerateInputError,
     FaultFrequencies,
     FaultSimConfig,
@@ -21,10 +21,10 @@ from sparsevib import (
     gradient_check,
     make_degradation_sequence,
     simulate_bearing_fault,
-    two_branch_features,
     write_ims_file,
 )
 from sparsevib import ingest, pipeline, sparse_filter
+from sparsevib.features import DEFAULT_BAND_FRACTION
 from sparsevib.ingest import RunToFailureFiles
 from sparsevib.simulate import LabeledDataset
 
@@ -32,23 +32,34 @@ FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 FAST_SIM = FaultSimConfig(
     fault_components=("outer",), snr_db=0.0, n_samples=4096, damping_rate=2000.0
 )
-FAST_CSF = CsfConfig(filter_length=50)
+FAST_LENGTH = 50
+
+
+def snapshot_features(signals, filter_length):
+    """What ``assess_sequence`` and ``classify_dataset`` run: each ``_snapshot`` fanned out.
+
+    Returns the raw-branch and filtered-branch feature matrices and the
+    :class:`SnapshotFit` of each signal.
+    """
+    fits = pipeline._fan_out(partial(pipeline._snapshot, signals, FAULTS, filter_length,
+                                     DEFAULT_BAND_FRACTION), len(signals))
+    return (*pipeline._feature_matrices(fits), fits)
 
 
 class TestFilterSignal:
     def test_method_dispatch(self):
         sig = simulate_bearing_fault(FAST_SIM)
         for method, fit in (("csf", fit_simplified_csf), ("med", fit_med)):
-            assert np.array_equal(filter_signal(sig, FAST_CSF, method=method).w,
-                                  fit(sig, FAST_CSF).w)
+            assert np.array_equal(filter_signal(sig, FAST_LENGTH, method=method).w,
+                                  fit(sig, FAST_LENGTH).w)
         with pytest.raises(ValueError):
-            filter_signal(sig, FAST_CSF, method="wiener")
+            filter_signal(sig, FAST_LENGTH, method="wiener")
 
 
 class TestFeatureMatrices:
     def test_two_branch_shapes(self):
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(3)]
-        raw, filt, fits = two_branch_features(signals, FAULTS, FAST_CSF)
+        raw, filt, fits = snapshot_features(signals, FAST_LENGTH)
         assert len(fits) == 3
         assert raw.values.shape == (3, 5)
         assert filt.values.shape == (3, 5)
@@ -57,16 +68,16 @@ class TestFeatureMatrices:
 
 
 def fake_affinity(monkeypatch, n_cpus):
-    """Make ``two_branch_features`` see ``n_cpus`` CPUs, whatever the host has."""
+    """Make ``_fan_out`` see ``n_cpus`` CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
 
 
-def serial_snapshots(signals, config):
+def serial_snapshots(signals, filter_length):
     """Raw features, fits and filtered features of ``signals``, one snapshot after another."""
     raw, fits, filtered = [], [], []
     for s in signals:
         raw.append(extract_feature_vector(s, FAULTS).as_array())
-        fits.append(fit_simplified_csf(s, config))
+        fits.append(fit_simplified_csf(s, filter_length))
         enhanced = Signal(fits[-1].filtered, s.sample_rate_hz)
         filtered.append(extract_feature_vector(enhanced, FAULTS).as_array())
     return np.vstack(raw), fits, np.vstack(filtered)
@@ -80,17 +91,16 @@ def fit_record(fit):
 
 
 class TestFitSignals:
-    """Each snapshot's features and fit, fanned out over the CPUs by ``two_branch_features``."""
+    """Each snapshot's features and fit, fanned out over the CPUs by ``_fan_out``."""
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     def test_matches_the_serial_loop_bit_for_bit(self, monkeypatch, n_cpus):
         # Mixed lengths, so the helpers and the caller finish at different times.
         signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=n, snr_db=-3.0, seed=s))
                    for s, n in enumerate([8192, 20480, 8192, 8192, 20480, 8192])]
-        config = CsfConfig(filter_length=100)
-        want_raw, expected, want_filtered = serial_snapshots(signals, config)
+        want_raw, expected, want_filtered = serial_snapshots(signals, 100)
         fake_affinity(monkeypatch, n_cpus)
-        raw, filtered, results = two_branch_features(signals, FAULTS, config)
+        raw, filtered, results = snapshot_features(signals, 100)
         assert np.array_equal(raw.values, want_raw)
         assert np.array_equal(filtered.values, want_filtered)
         assert [fit_record(got) for got in results] == [fit_record(want) for want in expected]
@@ -105,7 +115,7 @@ class TestFitSignals:
         monkeypatch.setattr(pipeline, "extract_feature_vector", counted_extract)
         fake_affinity(monkeypatch, 2)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        two_branch_features(signals, FAULTS, FAST_CSF)
+        snapshot_features(signals, FAST_LENGTH)
         assert 2 <= len(calls) < 2 * len(signals)
 
     def test_the_caller_reads_only_its_share_of_the_files(self, monkeypatch, tmp_path):
@@ -120,7 +130,7 @@ class TestFitSignals:
             write_ims_file(tmp_path / f"2004.02.12.10.{k:02d}.39", samples[:, None])
         monkeypatch.setattr(ingest, "read_ims_file", counted_read)
         fake_affinity(monkeypatch, 2)
-        report = assess_sequence(RunToFailureFiles(tmp_path, 0, 20000.0), FAULTS, FAST_CSF,
+        report = assess_sequence(RunToFailureFiles(tmp_path, 0, 20000.0), FAULTS, FAST_LENGTH,
                                  n_train=3)
         assert len(report.fits) == 6 and report.parse_errors == []
         assert 1 <= len(calls) < 6
@@ -132,7 +142,7 @@ class TestFitSignals:
         signals[5] = replace(signals[5], samples=np.full(4096, 0.25))  # features fail
         fake_affinity(monkeypatch, n_cpus)  # a helper may meet index 5 before index 2 fails
         with pytest.raises(ValueError, match=r"^snapshot 3: filter_length 200 exceeds N/2"):
-            two_branch_features(signals, FAULTS, CsfConfig(filter_length=200))
+            snapshot_features(signals, 200)
 
     def test_no_snapshot_above_a_failure_runs(self, monkeypatch):
         extracts, fits, extract = [], [], pipeline.extract_feature_vector
@@ -143,25 +153,24 @@ class TestFitSignals:
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(12)]
         signals[0] = replace(signals[0], samples=np.full(4096, 0.25))
         with pytest.raises(DegenerateInputError, match=r"^snapshot 1: "):
-            two_branch_features(signals, FAULTS, FAST_CSF)
+            snapshot_features(signals, FAST_LENGTH)
         assert (len(extracts), len(fits)) == (1, 0)
 
     def test_more_workers_than_cores_fit_each_signal_once(self, monkeypatch):
         fits, fit = multiprocessing.Value("i", 0), pipeline.fit_simplified_csf
 
-        def counted_fit(signal, config):
+        def counted_fit(signal, filter_length):
             with fits.get_lock():  # shared with the forked helpers
                 fits.value += 1
-            return fit(signal, config)
+            return fit(signal, filter_length)
 
         signals = [simulate_bearing_fault(replace(FAST_SIM, n_samples=1024, seed=s))
                    for s in range(60)]
-        config = CsfConfig(filter_length=16)
         monkeypatch.setattr(sparse_filter, "_MAX_ITERATIONS", 5)  # forked helpers inherit it
-        want_raw, expected, want_filtered = serial_snapshots(signals, config)
+        want_raw, expected, want_filtered = serial_snapshots(signals, 16)
         monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
         fake_affinity(monkeypatch, 6)
-        raw, filtered, results = two_branch_features(signals, FAULTS, config)
+        raw, filtered, results = snapshot_features(signals, 16)
         assert fits.value == len(signals)
         assert [fit_record(got) for got in results] == [fit_record(want) for want in expected]
         assert np.array_equal(raw.values, want_raw)
@@ -170,23 +179,23 @@ class TestFitSignals:
     def test_no_helper_outlives_the_call(self, monkeypatch):
         fake_affinity(monkeypatch, 3)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
-        two_branch_features(signals, FAULTS, FAST_CSF)
+        snapshot_features(signals, FAST_LENGTH)
         assert multiprocessing.active_children() == []
 
     def test_a_helper_that_dies_is_reported(self, monkeypatch):
         caller, fit = os.getpid(), pipeline.fit_simplified_csf
 
-        def dying_fit(signal, config):
+        def dying_fit(signal, filter_length):
             if os.getpid() != caller:
                 os._exit(1)
             time.sleep(0.1)  # so the helper is up before the caller has claimed every signal
-            return fit(signal, config)
+            return fit(signal, filter_length)
 
         monkeypatch.setattr(pipeline, "fit_simplified_csf", dying_fit)
         fake_affinity(monkeypatch, 2)
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(6)]
         with pytest.raises(RuntimeError, match="helper exited"):
-            two_branch_features(signals, FAULTS, FAST_CSF)
+            snapshot_features(signals, FAST_LENGTH)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
@@ -230,20 +239,20 @@ class TestAssessSequence:
     def test_needs_more_than_training_files(self):
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(5)]
         with pytest.raises(ValueError):
-            assess_sequence(signals, FAULTS, FAST_CSF, n_train=5)
+            assess_sequence(signals, FAULTS, FAST_LENGTH, n_train=5)
 
     def test_all_normal_sequence_raises_no_alarm(self):
         # false-alarm check on a healthy-only sequence, both branches
         base = replace(FAST_SIM, seed=0)
         signals = make_degradation_sequence(41, 40, base)[:39]
-        report = assess_sequence(signals, FAULTS, FAST_CSF, n_train=20)
+        report = assess_sequence(signals, FAULTS, FAST_LENGTH, n_train=20)
         assert report.filtered.alarm_index is None
         assert report.raw.alarm_index is None
 
     def test_row_counts_match_input(self):
         base = replace(FAST_SIM, seed=1)
         signals = make_degradation_sequence(24, 12, base)
-        report = assess_sequence(signals, FAULTS, FAST_CSF, n_train=10)
+        report = assess_sequence(signals, FAULTS, FAST_LENGTH, n_train=10)
         assert report.raw.mqe.shape == (24,)
         assert report.filtered.mqe.shape == (24,)
 
@@ -253,7 +262,7 @@ class TestClassifyDataset:
         signals = [simulate_bearing_fault(replace(FAST_SIM, seed=s)) for s in range(4)]
         dataset = LabeledDataset(signals=signals, labels=["F2"] * 4)
         with pytest.raises(ValueError):
-            classify_dataset(dataset, FAULTS, FAST_CSF)
+            classify_dataset(dataset, FAULTS, FAST_LENGTH)
 
     def test_two_class_report(self):
         signals, labels = [], []
@@ -264,7 +273,7 @@ class TestClassifyDataset:
                 replace(FAST_SIM, fault_components=(), seed=100 + s)))
             labels.append("normal")
         dataset = LabeledDataset(signals=signals, labels=labels)
-        report = classify_dataset(dataset, FAULTS, FAST_CSF, n_restarts=5, seed=0)
+        report = classify_dataset(dataset, FAULTS, FAST_LENGTH, n_restarts=5, seed=0)
         assert report.filtered.purity == 1.0
         assert report.filtered.vat.reordered_dissimilarity.shape == (8, 8)
         assert sorted(report.filtered.kmeans_labels.tolist()) == [0] * 4 + [1] * 4

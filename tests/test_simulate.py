@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sparsevib import (
-    CsfConfig,
     FaultFrequencies,
     FaultSimConfig,
     Signal,
@@ -86,6 +85,11 @@ class TestSimulateBearingFault:
             FaultSimConfig(resonance_hz=15000.0, sample_rate_hz=20000.0)
         with pytest.raises(ValueError):
             FaultSimConfig(period_jitter_fraction=0.2)
+        for bad in ({"snr_db": math.nan}, {"snr_db": -math.inf}, {"damping_rate": math.inf},
+                    {"damping_rate": math.nan}, {"shaft_hz": math.inf}, {"shaft_hz": math.nan}):
+            with pytest.raises(ValueError):
+                FaultSimConfig(**bad)
+        FaultSimConfig(snr_db=math.inf)  # noiseless
 
 
 class TestGaussianWithOutlier:
@@ -136,16 +140,17 @@ class TestTaxonomyDataset:
         # F2 (outer) vs F1 (normal) through the full CSF + BLEHNR pipeline
         ds = make_fault_taxonomy_dataset(10, self.BASE, seed=2)
         labels = np.array(ds.labels)
-        config = CsfConfig(filter_length=100)
         wins = 0
         f1_signals = [s for s, l in zip(ds.signals, labels) if l == "F1"]
         f2_signals = [s for s, l in zip(ds.signals, labels) if l == "F2"]
         for s1, s2 in zip(f1_signals, f2_signals):
             v1 = extract_feature_vector(
-                Signal(fit_simplified_csf(s1, config).filtered, s1.sample_rate_hz), FAULTS
+                Signal(fit_simplified_csf(s1, filter_length=100).filtered, s1.sample_rate_hz),
+                FAULTS,
             )
             v2 = extract_feature_vector(
-                Signal(fit_simplified_csf(s2, config).filtered, s2.sample_rate_hz), FAULTS
+                Signal(fit_simplified_csf(s2, filter_length=100).filtered, s2.sample_rate_hz),
+                FAULTS,
             )
             wins += v2.blehnr_bpfo > v1.blehnr_bpfo
         assert wins >= 9

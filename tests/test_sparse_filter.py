@@ -13,7 +13,6 @@ from scipy.linalg import cho_factor, cho_solve
 import sparsevib
 from sparsevib import sparse_filter
 from sparsevib import (
-    CsfConfig,
     DegenerateInputError,
     NumericalFailureError,
     Signal,
@@ -120,40 +119,39 @@ class TestFitSimplifiedCsf:
 
         config = FaultSimConfig(fault_components=("outer",), snr_db=-8.0, seed=0)
         sig = simulate_bearing_fault(config)
-        result = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+        result = fit_simplified_csf(sig, filter_length=100)
         spec = envelope_spectrum(Signal(result.filtered, sig.sample_rate_hz))
         df = spec.frequencies_hz[1]
         assert abs(spec.peak_frequency() - 100.0) <= df + 1e-9
 
     def test_does_not_collapse_on_outlier(self):
         sig = gaussian_with_outlier(8192, 8.0, seed=0)
-        result = fit_simplified_csf(sig, CsfConfig(filter_length=100))
+        result = fit_simplified_csf(sig, filter_length=100)
         concentration = np.max(np.abs(result.filtered)) / np.linalg.norm(result.filtered)
         assert concentration < 0.5
 
     def test_beats_every_delta_filter_on_impulse_train(self):
         sig = impulse_train_signal()
-        config = CsfConfig(filter_length=32)
-        result = fit_simplified_csf(sig, config)
+        l = 32
+        result = fit_simplified_csf(sig, filter_length=l)
         # Brute-force oracle: every single-coefficient filter.
         delta_costs = []
-        for j in range(config.filter_length):
-            delta = np.zeros(config.filter_length)
+        for j in range(l):
+            delta = np.zeros(l)
             delta[j] = 1.0
             delta_costs.append(csf_cost(convolve_valid(sig, delta), sparse_filter._EPSILON))
         assert result.cost_history[-1] < min(delta_costs)
 
     def test_cost_history_nonincreasing(self):
         sig = gaussian_with_outlier(2048, 8.0, seed=3)
-        result = fit_simplified_csf(sig, CsfConfig(filter_length=50))
+        result = fit_simplified_csf(sig, filter_length=50)
         diffs = np.diff(result.cost_history)
         assert np.all(diffs <= 1e-12)
 
     def test_deterministic(self):
         sig = gaussian_with_outlier(2048, 8.0, seed=4)
-        config = CsfConfig(filter_length=40)
-        a = fit_simplified_csf(sig, config)
-        b = fit_simplified_csf(sig, config)
+        a = fit_simplified_csf(sig, filter_length=40)
+        b = fit_simplified_csf(sig, filter_length=40)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.filtered, b.filtered)
         assert np.array_equal(a.cost_history, b.cost_history)
@@ -161,15 +159,14 @@ class TestFitSimplifiedCsf:
     def test_sign_symmetry(self):
         sig = gaussian_with_outlier(2048, 8.0, seed=5)
         flipped = Signal(-sig.samples, sig.sample_rate_hz)
-        config = CsfConfig(filter_length=30)
-        a = fit_simplified_csf(sig, config)
-        b = fit_simplified_csf(flipped, config)
+        a = fit_simplified_csf(sig, filter_length=30)
+        b = fit_simplified_csf(flipped, filter_length=30)
         assert np.allclose(np.abs(b.filtered), np.abs(a.filtered), rtol=1e-9, atol=1e-12)
         assert b.cost_history[-1] == pytest.approx(a.cost_history[-1], rel=1e-9)
 
     def test_unit_norm_and_final_cost_bounds(self):
         sig = gaussian_with_outlier(4096, 8.0, seed=6)
-        result = fit_simplified_csf(sig, CsfConfig(filter_length=64))
+        result = fit_simplified_csf(sig, filter_length=64)
         assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-9)
         m = result.filtered.size
         assert 1.0 <= result.cost_history[-1] <= np.sqrt(m)
@@ -179,9 +176,9 @@ class TestFitSimplifiedCsf:
         # At these scales epsilon flattens the cost: the solver stops after one
         # iteration with w still far from the scale-1 fit's.
         sig = gaussian_with_outlier(4096, 8.0, seed=0)
-        config = CsfConfig(filter_length=64)
-        reference = fit_simplified_csf(sig, config)
-        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz), config)
+        reference = fit_simplified_csf(sig, filter_length=64)
+        result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz),
+                                    filter_length=64)
         assert reference.converged and reference.iterations > 1
         assert result.iterations <= 1 and not result.converged
         assert np.max(np.abs(result.w - reference.w)) > 0.1
@@ -198,25 +195,35 @@ class TestFitSimplifiedCsf:
             monkeypatch.setattr(sparse_filter, name, value)
         sig = gaussian_with_outlier(4096, 8.0, seed=0)
         result = fit_simplified_csf(Signal(scale * sig.samples, sig.sample_rate_hz),
-                                    CsfConfig(filter_length=64))
+                                    filter_length=64)
         assert result.stop == stop
         assert result.converged == (stop in ("gradient", "plateau"))
 
     def test_constant_signal_degenerate(self):
         sig = Signal(np.full(1024, 2.0), 100.0)
         with pytest.raises(DegenerateInputError):
-            fit_simplified_csf(sig, CsfConfig(filter_length=16))
+            fit_simplified_csf(sig, filter_length=16)
 
     def test_filter_length_validated_against_signal(self):
         sig = gaussian_with_outlier(1024, 8.0, seed=7)
         with pytest.raises(ValueError):
-            fit_simplified_csf(sig, CsfConfig(filter_length=1000))
+            fit_simplified_csf(sig, filter_length=1000)
+
+
+@pytest.mark.parametrize("fit", [fit_simplified_csf, fit_med])
+@pytest.mark.parametrize("l", [1, 0, -3])
+def test_filter_length_below_two_rejected(fit, l):
+    with pytest.raises(ValueError, match="^filter_length must be at least 2$"):
+        fit(gaussian_with_outlier(1024, 8.0, seed=7), filter_length=l)
+    # checked before the signal: a constant one would fail as degenerate
+    with pytest.raises(ValueError, match="^filter_length must be at least 2$"):
+        fit(Signal(np.ones(2), 1.0), filter_length=l)
 
 
 class TestFitMed:
     def test_collapses_onto_outlier_at_full_capacity(self):
         sig = gaussian_with_outlier(8192, 8.0, seed=0)
-        result = fit_med(sig, CsfConfig(filter_length=4096))
+        result = fit_med(sig, filter_length=4096)
         concentration = np.max(np.abs(result.filtered)) / np.linalg.norm(result.filtered)
         assert concentration > 0.9
 
@@ -227,24 +234,23 @@ class TestFitMed:
             xc = x - x.mean()
             return x.size * np.sum(xc**4) / np.sum(xc**2) ** 2
 
-        result = fit_med(sig, CsfConfig(filter_length=32))
+        result = fit_med(sig, filter_length=32)
         assert kurt(result.filtered) >= kurt(sig.samples)
 
     def test_deterministic(self):
         sig = gaussian_with_outlier(2048, 8.0, seed=8)
-        config = CsfConfig(filter_length=64)
-        a = fit_med(sig, config)
-        b = fit_med(sig, config)
+        a = fit_med(sig, filter_length=64)
+        b = fit_med(sig, filter_length=64)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.filtered, b.filtered)
 
     def test_reports_no_stop_reason(self):
-        result = fit_med(impulse_train_signal(n=2048, period=32), CsfConfig(filter_length=24))
+        result = fit_med(impulse_train_signal(n=2048, period=32), filter_length=24)
         assert result.stop is None
 
     def test_history_is_negative_kurtosis(self):
         sig = impulse_train_signal(n=2048, period=32)
-        result = fit_med(sig, CsfConfig(filter_length=24))
+        result = fit_med(sig, filter_length=24)
         assert result.cost_history[0] < 0
         assert len(result.cost_history) == result.iterations + 1
 
@@ -253,7 +259,7 @@ class TestFitMed:
         l = 2048
         tracemalloc.start()
         try:
-            fit_med(sig, CsfConfig(filter_length=l))
+            fit_med(sig, filter_length=l)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -264,12 +270,11 @@ class TestFitMed:
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(sparse_filter, "dpptrs", lambda n, ap, b, **kwargs: (b, -1))
         with pytest.raises(NumericalFailureError, match="dpptrs info=-1"):
-            fit_med(gaussian_with_outlier(1024, 8.0, seed=0), CsfConfig(filter_length=16))
+            fit_med(gaussian_with_outlier(1024, 8.0, seed=0), filter_length=16)
 
     def test_matches_a_dense_cholesky_reference(self):
         sig = gaussian_with_outlier(4096, 8.0, seed=0)
-        config = CsfConfig(filter_length=1024)
-        y, l = sig.samples, config.filter_length
+        y, l = sig.samples, 1024
         windows = np.lib.stride_tricks.sliding_window_view(y, l)
         gram = windows.T @ windows
         gram[np.diag_indices(l)] += 1e-8 * np.trace(gram) / l
@@ -284,7 +289,7 @@ class TestFitMed:
             w, iterations = w_new, iterations + 1
             if delta < sparse_filter._MED_STEP_TOL:
                 break
-        result = fit_med(sig, config)
+        result = fit_med(sig, filter_length=l)
         assert result.iterations == iterations
         assert np.max(np.abs(result.w - w)) < 1e-8
 
@@ -293,7 +298,7 @@ class TestFitMed:
         # keeps the normal equations from being singular.
         t = np.arange(8192) / 20000.0
         result = fit_med(Signal(np.sin(2 * np.pi * 300.0 * t), 20000.0),
-                         CsfConfig(filter_length=64))
+                         filter_length=64)
         assert np.all(np.isfinite(result.w))
         assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-12)
 
@@ -324,12 +329,12 @@ def test_gram_factor_is_the_cholesky_factor_of_the_ridged_gram_matrix(n, l):
 FIT_AND_FEATURES = """
 import sys
 import numpy as np
-from sparsevib import (CsfConfig, FaultFrequencies, FaultSimConfig, Signal,
+from sparsevib import (FaultFrequencies, FaultSimConfig, Signal,
                        extract_feature_vector, fit_med, fit_simplified_csf,
                        gaussian_with_outlier, simulate_bearing_fault)
 signal = simulate_bearing_fault(FaultSimConfig(fault_components=("outer",), seed=0))
-fit = fit_simplified_csf(signal, CsfConfig(filter_length=100))
-med = fit_med(gaussian_with_outlier(4096, 8.0, seed=0), CsfConfig(filter_length=2048))
+fit = fit_simplified_csf(signal, filter_length=100)
+med = fit_med(gaussian_with_outlier(4096, 8.0, seed=0), filter_length=2048)
 faults = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 enhanced = Signal(fit.filtered, signal.sample_rate_hz)
 np.savez(sys.argv[1], w=fit.w, filtered=fit.filtered, cost_history=fit.cost_history,
@@ -367,15 +372,15 @@ def test_lbfgs_agrees_with_scipy_lbfgsb_within_the_rounding_spread():
 
     from sparsevib import FaultSimConfig, make_fault_taxonomy_dataset
 
-    config = CsfConfig(filter_length=64)
+    l = 64
     base = FaultSimConfig(snr_db=-2.0, n_samples=4096, damping_rate=2000.0)
-    w0 = sparse_filter._initial_filter(config.filter_length)
+    w0 = sparse_filter._initial_filter(l)
     moves, spread = [], []
     for signal in make_fault_taxonomy_dataset(1, base, seed=0).signals:
         reference = []
         for k in range(5):
             fun = partial(sparse_filter._cost_and_gradient,
-                          _correlator(signal.samples * (1 + k * 2.0**-50), config.filter_length),
+                          _correlator(signal.samples * (1 + k * 2.0**-50), l),
                           epsilon=sparse_filter._EPSILON)
             gtol = sparse_filter._GRADIENT_TOL * np.abs(fun(w0)[1]).max()
             reference.append(minimize(fun, w0, jac=True, method="L-BFGS-B", options={

@@ -9,7 +9,7 @@ Every fit returns a finite, unit-norm filter.
 import numpy as np
 import pytest
 
-from sparsevib import (CsfConfig, Signal, convolve_valid, csf_cost, csf_gradient, fit_med,
+from sparsevib import (Signal, convolve_valid, csf_cost, csf_gradient, fit_med,
                        fit_simplified_csf)
 from sparsevib.sparse_filter import _EPSILON
 
@@ -60,6 +60,6 @@ def test_fits_return_finite_unit_norm_filters(fit, l, extra, seed, log_scale, n_
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n)
     y[rng.integers(0, n, n_impulses)] += rng.choice([-1.0, 1.0], n_impulses) * 20.0
-    result = fit(Signal(10.0**log_scale * y, 1.0), CsfConfig(filter_length=l))
+    result = fit(Signal(10.0**log_scale * y, 1.0), filter_length=l)
     assert np.all(np.isfinite(result.w))
     assert np.linalg.norm(result.w) == pytest.approx(1.0, abs=1e-12)
