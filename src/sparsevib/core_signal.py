@@ -9,7 +9,6 @@ the one-sided envelope spectrum.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import DegenerateInputError
 
@@ -79,6 +78,23 @@ class Spectrum:
         return float(self.frequencies_hz[1 + int(np.argmax(self.magnitudes[1:]))])
 
 
+def _next_fast_len(n):
+    """Smallest ``2^a 3^b 5^c >= n``: a length pocketfft transforms quickly.
+
+    Each ``3^b 5^c`` below the best so far is scaled by the least power of
+    two that reaches ``n``.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _correlator(y, l):
     """``v -> out`` with ``out[i] = sum_j y[i+j] v[j]``, for a filter length ``l``.
 
@@ -92,19 +108,20 @@ def _correlator(y, l):
     one small transform, not whole-record transforms.  ``size`` is ``8 l``
     rounded up to a fast length, capped at the record's own fast length; a
     filter that long gets one block, the whole record, and the same bits as
-    a whole-record FFT correlation.  pocketfft runs on the calling thread and
-    uses no BLAS, and the blocks are summed in a fixed order, so no thread
-    or CPU count changes a result.  The returned function reuses its work
-    arrays, so it serves one caller at a time.
+    a whole-record FFT correlation.  The transforms are ``numpy.fft``'s: the
+    C++ pocketfft that ``scipy.fft`` also wraps, with the same bits.  It runs
+    on the calling thread and uses no BLAS, and the blocks are summed in a
+    fixed order, so no thread or CPU count changes a result.  The returned
+    function reuses its work arrays, so it serves one caller at a time.
     """
     n = y.size
     m = n - l + 1
-    size = min(sp_fft.next_fast_len(8 * l, True), sp_fft.next_fast_len(n, True))
+    size = min(_next_fast_len(8 * l), _next_fast_len(n))
     step = size - l + 1
     count = -(-m // step)
     padded = np.zeros(count * step + l - 1)
     padded[:n] = y
-    blocks = sp_fft.rfft(np.lib.stride_tricks.sliding_window_view(padded, size)[::step])
+    blocks = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(padded, size)[::step])
     pad = count * step - m  # zeros after the last window
     first = step - 1 - pad
     # The adjoint's work arrays are kept across calls: fresh ones, a record's
@@ -116,9 +133,10 @@ def _correlator(y, l):
     def correlate(v):
         if v.size == l:
             # ``blocks`` first: numpy's complex product is not symmetric bit for
-            # bit, and this is the order of scipy's FFT convolution.
-            spectra = np.multiply(blocks, sp_fft.rfft(v[::-1], size))
-            return sp_fft.irfft(spectra, size, overwrite_x=True)[:, l - 1 :].ravel()[:m]
+            # bit, and scipy.signal.fftconvolve, the reference these sums are
+            # tested against, multiplies in this order.
+            spectra = np.multiply(blocks, np.fft.rfft(v[::-1], size))
+            return np.fft.irfft(spectra, size)[:, l - 1 :].ravel()[:m]
         # Piece b of ``v`` (its windows in block b), reversed, meets block b; the
         # pieces' spectra are summed before one inverse transform.  Each reversed
         # piece is rolled back by ``pad`` points, circularly, so the sums are read
@@ -128,9 +146,9 @@ def _correlator(y, l):
         rows = weights.reshape(count, step)[:, ::-1]
         kernels[:, : step - pad] = rows[:, pad:]
         kernels[:, size - pad :] = rows[:, :pad]
-        spectra = sp_fft.rfft(kernels)
+        spectra = np.fft.rfft(kernels)
         np.multiply(blocks, spectra, out=spectra)
-        return sp_fft.irfft(spectra.sum(axis=0), size)[first : first + l]
+        return np.fft.irfft(spectra.sum(axis=0), size)[first : first + l]
 
     return correlate
 
@@ -189,11 +207,14 @@ def hilbert_envelope(signal):
     if len(signal) < 4:
         raise ValueError("envelope needs at least 4 samples")
     n = len(signal)
-    h = np.zeros(n)
-    h[: n // 2 + 1] = 1.0
+    h = np.ones(n // 2 + 1)
     h[1 : (n + 1) // 2] = 2.0
+    # The bins from ``rfft``, not a complex ``fft``: numpy's complex transform
+    # of a real input differs from scipy.signal.hilbert's in the last bit.
+    analytic = np.zeros(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        env = np.abs(sp_fft.ifft(sp_fft.fft(signal.samples) * h))
+        analytic[: h.size] = np.fft.rfft(signal.samples) * h
+        env = np.abs(np.fft.ifft(analytic))
     if not np.isfinite(env).all():
         raise ValueError("envelope overflowed at this amplitude (largest |sample| "
                          f"{np.abs(signal.samples).max():.3g})")
@@ -254,9 +275,9 @@ def envelope_spectrum(signal):
     env = hilbert_envelope(signal).samples
     env = env - env.mean()
     n = env.size
-    mags = np.abs(sp_fft.rfft(env)) / n
+    mags = np.abs(np.fft.rfft(env)) / n
     # Double the bins that carry a conjugate twin (not DC, not Nyquist for even N).
     upper = mags.size - 1 if n % 2 == 0 else mags.size
     mags[1:upper] *= 2.0
-    freqs = sp_fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
+    freqs = np.fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
     return Spectrum(freqs, mags)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the helper that names an error's source."""
+"""Exception types shared across the package, and the helpers that raise and name them."""
+
+import operator
 
 
 class DegenerateInputError(ValueError):
@@ -36,3 +38,16 @@ class naming:
     def __exit__(self, exc_type, exc, traceback):
         if isinstance(exc, (ValueError, NumericalFailureError)):
             exc.args = (f"{self.name}: {exc}",)
+
+
+def _require_whole(config, *names):
+    """Raise ``ValueError`` naming the first of ``config``'s fields that is not a whole number.
+
+    A whole number is what ``operator.index`` takes: an int or a numpy
+    integer, not a float, however integral.
+    """
+    for name in names:
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ValueError(f"{name} must be a whole number") from None

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .core_signal import autocorrelation, hilbert_envelope
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _require_whole
 
 __all__ = [
     "BearingGeometry",
@@ -40,6 +40,7 @@ class BearingGeometry:
     contact_angle_rad: float = 0.0
 
     def __post_init__(self):
+        _require_whole(self, "n_rolling_elements")
         if self.n_rolling_elements < 2:
             raise ValueError("need at least 2 rolling elements")
         if not (0 < self.roller_diameter < self.pitch_diameter < math.inf):

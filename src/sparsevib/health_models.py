@@ -12,6 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import _require_whole
+
 __all__ = [
     "FeatureMatrix",
     "SomConfig",
@@ -60,6 +62,7 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_whole(self, "grid_rows", "grid_cols", "epochs")
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ValueError("SOM grid must be at least 2x2")
         if self.epochs < 1:

@@ -302,11 +302,9 @@ def read_manifest(path, sample_rate_hz):
         for line_no, stripped in _lines(_read_text(path)):
             if line_no == 1 and stripped.lower().startswith("path"):
                 continue
-            try:
-                file_path, label = (t.strip() for t in stripped.split(",", 1))
-            except ValueError:
-                raise SignalParseError(f"line {line_no}: expected 'path,label'",
-                                       line=line_no) from None
+            file_path, _, label = (t.strip() for t in stripped.partition(","))
+            if not (file_path and label):
+                raise SignalParseError(f"line {line_no}: expected 'path,label'", line=line_no)
             paths.append(path.parent / file_path)
             labels.append(label)
         if not paths:

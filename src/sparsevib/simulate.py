@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from .core_signal import Signal
+from .core_signal import Signal, _next_fast_len
+from .errors import _require_whole
 
 __all__ = [
     "FaultSimConfig",
@@ -68,6 +68,7 @@ class FaultSimConfig:
                 raise ValueError(f"unknown fault component {name!r}")
         if len(set(self.fault_components)) != len(self.fault_components):
             raise ValueError("fault_components must not repeat")
+        _require_whole(self, "n_samples")
         if self.n_samples < 1024:
             raise ValueError("n_samples must be at least 1024")
         if not (0 < self.sample_rate_hz < math.inf):
@@ -144,14 +145,14 @@ def _clean_signal(rng, config):
     n = config.n_samples
     clean = np.zeros(n)
     kernel = _resonance_kernel(config)
-    size = sp_fft.next_fast_len(n + kernel.size - 1, True)
-    kernel_spectrum = sp_fft.rfft(kernel, size)
+    size = _next_fast_len(n + kernel.size - 1)
+    kernel_spectrum = np.fft.rfft(kernel, size)
     modulation = None
     for name in COMPONENT_ORDER:
         if name not in config.fault_components:
             continue
         spikes = _impulse_train(rng, config, config.fault_hz(name))
-        component = sp_fft.irfft(sp_fft.rfft(spikes, size) * kernel_spectrum, size)[:n]
+        component = np.fft.irfft(np.fft.rfft(spikes, size) * kernel_spectrum, size)[:n]
         if name in ("inner", "roller"):
             if modulation is None:
                 modulation = _shaft_modulation(config)

@@ -545,14 +545,17 @@ class TestClassify:
         assert fits == []
 
     def test_malformed_manifest_line_names_file_and_line(self, tmp_path, capsys):
+        # An empty path or label is malformed too: an empty path names the
+        # manifest's own directory, and an empty label a class "".
         manifest = tmp_path / "runs.csv"
-        manifest.write_text("path,label\nno-label-here\n")
-        code = run([
-            "classify", "--manifest", str(manifest), "--sample-rate", "20000",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "cls"),
-        ])
-        assert code == 2
-        assert "runs.csv: line 2" in capsys.readouterr().err
+        for bad in ("no-label-here", "a.csv,", ",normal", " , "):
+            manifest.write_text(f"path,label\n{bad}\n")
+            code = run([
+                "classify", "--manifest", str(manifest), "--sample-rate", "20000",
+                "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "cls"),
+            ])
+            assert code == 2, bad
+            assert "runs.csv: line 2: expected 'path,label'" in capsys.readouterr().err, bad
 
     def test_header_only_manifest_names_the_file(self, tmp_path, capsys):
         manifest = tmp_path / "runs.csv"
@@ -1015,13 +1018,15 @@ class TestOutputDirEnv:
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # A fresh interpreter: this test process may have imported either module itself.
-    # Neither scipy.signal nor scipy.optimize is used, and each would add to every start.
+    # A fresh interpreter: this test process may have imported any of these modules itself.
+    # None of scipy.signal, scipy.optimize or scipy.fft is used (the transforms are
+    # numpy.fft's), and each would add to every start.
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, sparsevib.cli; "
-            "print([name for name in ('scipy.signal', 'scipy.optimize') if name in sys.modules])")
+            "print([name for name in ('scipy.signal', 'scipy.optimize', 'scipy.fft') "
+            "if name in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "[]"

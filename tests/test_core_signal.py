@@ -13,7 +13,7 @@ from sparsevib import (
     envelope_spectrum,
     hilbert_envelope,
 )
-from sparsevib.core_signal import _correlator
+from sparsevib.core_signal import _correlator, _next_fast_len
 
 
 def make_signal(samples, fs=1000.0):
@@ -101,6 +101,13 @@ def block_size(n, l):
     return min(next_fast_len(8 * l, True), next_fast_len(n, True))
 
 
+def test_next_fast_len_is_scipys():
+    # scipy's real-transform fast length is the reference; the engine's block
+    # lengths, and so its bits, follow from it.
+    for n in [*range(1, 50_001), 2**20 + 1, 3**13 + 1, 5**9 - 1, 10**9 + 7]:
+        assert _next_fast_len(n) == next_fast_len(n, True), n
+
+
 def check_both_directions(y, l, rng):
     """Forward pass and adjoint of ``_correlator(y, l)`` against exactly rounded sums.
 
@@ -167,6 +174,10 @@ class TestCorrelator:
 
 class TestScipyReference:
     """Envelope and autocorrelation give scipy.signal's arrays bit for bit.
+
+    The package transforms through ``numpy.fft``, so this pins numpy's
+    pocketfft to scipy's: the same C++ pocketfft in numpy 2 and scipy, with
+    the envelope's spectrum taken by ``rfft``, as scipy takes it.
 
     Lengths above 16384 give spectra large enough for numpy to reuse a
     temporary factor of a product in place, which can swap the factors;

@@ -115,6 +115,10 @@ class TestFaultFrequencies:
                                     (1.0, 4.0, math.inf), (math.nan, 4.0, 0.0)):
             with pytest.raises(ValueError):
                 BearingGeometry(8, *diameters_and_angle)
+        for count in (9.5, 9.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n_rolling_elements"):
+                BearingGeometry(count, 1.0, 4.0, 0.0)
+        BearingGeometry(np.int64(9), 1.0, 4.0, 0.0)
 
     def test_invalid_shaft_speed(self):
         geometry = BearingGeometry(8, 1.0, 4.0, 0.0)

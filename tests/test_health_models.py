@@ -25,6 +25,14 @@ def blobs(rng, centers, n_each, sigma):
 
 
 class TestSomTrain:
+    @pytest.mark.parametrize("field, value", [
+        ("grid_rows", 1), ("grid_rows", 2.5), ("grid_cols", 3.0), ("grid_cols", float("nan")),
+        ("epochs", 0), ("epochs", float("inf")),
+    ])
+    def test_config_rejects_a_grid_or_epochs_that_is_not_a_count(self, field, value):
+        with pytest.raises(ValueError, match="grid|epochs"):
+            SomConfig(**{field: value})
+
     def test_schedule_starts_at_half_the_longer_side(self, monkeypatch):
         from sparsevib import health_models
 

@@ -89,6 +89,9 @@ class TestSimulateBearingFault:
                     {"damping_rate": math.nan}, {"shaft_hz": math.inf}, {"shaft_hz": math.nan}):
             with pytest.raises(ValueError):
                 FaultSimConfig(**bad)
+        for n_samples in (4096.5, 4096.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n_samples"):
+                FaultSimConfig(n_samples=n_samples)
         FaultSimConfig(snr_db=math.inf)  # noiseless
 
 
