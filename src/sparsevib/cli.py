@@ -29,7 +29,7 @@ from .features import (
     fault_frequencies,
 )
 from .health_models import SomConfig
-from .ingest import RunToFailureFiles, read_ims_file, read_manifest, write_ims_file
+from .ingest import RunToFailureFiles, SnapshotFiles, read_manifest, write_ims_file
 from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
 from .simulate import (
     FaultSimConfig,
@@ -68,36 +68,6 @@ def _write_sidecar(path, payload):
 def _fault_block(faults):
     """The ``fault_frequencies_hz`` block of a report."""
     return {"bpfo": faults.bpfo_hz, "bpfi": faults.bpfi_hz, "bsf": faults.bsf_hz}
-
-
-def _sidecar_sample_rate(path):
-    """``sample_rate_hz`` from the JSON sidecar of a signal file, or None without one."""
-    sidecar = Path(str(path) + ".json")
-    if not sidecar.exists():
-        return None
-    with naming(sidecar.name):
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"sidecar is not valid JSON ({exc})") from None
-        if not isinstance(meta, dict):
-            raise ValueError("sidecar is not a JSON object")
-        rate = meta.get("sample_rate_hz")
-        if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                                 or not 0 < rate <= sys.float_info.max):
-            raise ValueError(f"sample_rate_hz {rate!r} is not a positive finite number")
-        return rate
-
-
-def _read_signal(path, sample_rate_hz):
-    """Channel 0 of a signal file; the sample rate falls back to its sidecar."""
-    if sample_rate_hz is None:
-        sample_rate_hz = _sidecar_sample_rate(path)
-    if sample_rate_hz is None:
-        raise ValueError(
-            f"{Path(path).name}: sample rate unknown; pass --sample-rate or provide a sidecar"
-        )
-    return read_ims_file(path, sample_rate_hz).channel_signal(0)
 
 
 def _json_dict(items):
@@ -191,7 +161,7 @@ def _input_mode_args(args, file_flag):
     """``args`` for the chosen input: with ``file_flag`` no flag that input ignores may be given.
 
     Simulated input reads ``--shaft-hz`` and fills in its default; a file
-    reads it only with ``--geometry``.
+    reads it only with ``--geometry``.  A file's ``--sample-rate`` defaults to None.
     """
     if file_flag:
         given = [flag for flag, dest in _SIM_ONLY.items() if dest in vars(args)]
@@ -199,9 +169,9 @@ def _input_mode_args(args, file_flag):
             raise _UsageError(f"{given[0]} is read only with simulated input, not with {file_flag}")
         if "shaft_hz" in vars(args) and args.geometry is None:
             raise _UsageError(f"--shaft-hz is read with {file_flag} only together with --geometry")
-        return args
+        return argparse.Namespace(**{"sample_rate_hz": None, **vars(args)})
     return argparse.Namespace(**{**_SIM_ONLY_DEFAULTS, "shaft_hz": FaultSimConfig.shaft_hz,
-                                 **vars(args)})
+                                 "sample_rate_hz": FaultSimConfig.sample_rate_hz, **vars(args)})
 
 
 def _add_param_flags(parser, func, flags):
@@ -228,7 +198,7 @@ def _fit_summary(fits):
 
 
 def _add_fault_freq_flags(parser, sim=None):
-    """Fault-frequency flags; with ``sim`` the simulated input also reads ``--shaft-hz``.
+    """Fault-frequency flags and ``--sample-rate``; with ``sim`` simulated input reads ``--shaft-hz``.
 
     ``--shaft-hz`` has no default here (see ``_input_mode_args``).
     """
@@ -242,6 +212,14 @@ def _add_fault_freq_flags(parser, sim=None):
     parser.add_argument("--shaft-hz", dest="shaft_hz", type=float, default=argparse.SUPPRESS,
                         help=shaft_help)
     parser.add_argument("--band-fraction", type=float, default=DEFAULT_BAND_FRACTION)
+    _add_sample_rate_flag(parser, sim)  # each defect period is searched at fs / f lags
+
+
+def _add_sample_rate_flag(parser, sim=None):
+    """``--sample-rate``, without a default here (see ``_input_mode_args``)."""
+    default = f"; simulated input default {sim.sample_rate_hz}" if sim else ""
+    parser.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=argparse.SUPPRESS,
+                        help=f"Hz; without it each file's <name>.json sidecar gives it{default}")
 
 
 def cmd_simulate(args):
@@ -263,7 +241,8 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    signal = _read_signal(args.input, args.sample_rate_hz)
+    args = _input_mode_args(args, "--input")
+    signal = SnapshotFiles([args.input], 0, args.sample_rate_hz)[0]
     t0 = time.perf_counter()
     with naming(Path(args.input).name):
         result = filter_signal(signal, args.filter_length, method=args.method)
@@ -294,8 +273,8 @@ def cmd_filter(args):
 
 def cmd_features(args):
     args = _input_mode_args(args, "--input")
-    signal = _read_signal(args.input, args.sample_rate_hz)
     faults = _fault_frequencies_from_args(args)
+    signal = SnapshotFiles([args.input], 0, args.sample_rate_hz)[0]
     with naming(Path(args.input).name):
         vector = extract_feature_vector(signal, faults, args.band_fraction)
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
@@ -342,7 +321,8 @@ def cmd_assess(args):
     faults = _fault_frequencies_from_args(args)
     if args.input_dir:
         signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
-        source = {"input_dir": str(args.input_dir), "channel": args.channel}
+        source = {"input_dir": str(args.input_dir), "channel": args.channel,
+                  "sample_rate_hz": args.sample_rate_hz}
     else:
         base = _config_from_args(FaultSimConfig, args, fault_components=("outer",))
         signals = make_degradation_sequence(args.n_files, args.onset, base)
@@ -387,7 +367,7 @@ def cmd_classify(args):
     faults = _fault_frequencies_from_args(args)
     if args.manifest:
         dataset = read_manifest(args.manifest, args.sample_rate_hz)
-        source = {"manifest": str(args.manifest)}
+        source = {"manifest": str(args.manifest), "sample_rate_hz": args.sample_rate_hz}
     else:
         base = _config_from_args(FaultSimConfig, args)
         dataset = make_fault_taxonomy_dataset(args.n_per_class, base, seed=args.seed)
@@ -465,7 +445,7 @@ def build_parser():
 
     p = sub.add_parser("filter", help="run the sparse filter (or MED) on a signal file")
     p.add_argument("--input", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
+    _add_sample_rate_flag(p)
     p.add_argument("--method", choices=("csf", "med"), default="csf")
     _add_param_flags(p, filter_signal, {"--filter-length": "filter_length"})
     p.add_argument("-o", "--output", required=True)
@@ -473,7 +453,6 @@ def build_parser():
 
     p = sub.add_parser("features", help="extract the scale-invariant feature vector")
     p.add_argument("--input", required=True)
-    p.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=None)
     _add_fault_freq_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("-o", "--output", required=True)
@@ -491,7 +470,7 @@ def build_parser():
                    help="ROWSxCOLS (default %(default)s)")
     _add_field_flags(p, som, "--som-epochs")
     _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--sample-rate", "--seed")
+    _add_field_flags(p, sim, "--seed")
     _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
                           *_SIM_FIELD_FLAGS)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
@@ -505,7 +484,7 @@ def build_parser():
     _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts",
                                            "--filter-length": "filter_length"})
     _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--sample-rate", "--seed")
+    _add_field_flags(p, sim, "--seed")
     _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
                           "--inner-hz", "--roller-hz")
     p.add_argument("-o", "--output-dir", required=True)

@@ -40,14 +40,16 @@ class naming:
             exc.args = (f"{self.name}: {exc}",)
 
 
-def _require_whole(config, *names):
-    """Raise ``ValueError`` naming the first of ``config``'s fields that is not a whole number.
+def _require_whole(**values):
+    """Raise ``ValueError`` naming the first of ``values`` (counts, seeds) that is not a whole number.
 
-    A whole number is what ``operator.index`` takes: an int or a numpy
-    integer, not a float, however integral.
+    A whole number is what ``operator.index`` takes and is not negative: an
+    int or a numpy integer, not a float, however integral.
     """
-    for name in names:
+    for name, value in values.items():
         try:
-            operator.index(getattr(config, name))
+            if operator.index(value) >= 0:
+                continue
         except TypeError:
-            raise ValueError(f"{name} must be a whole number") from None
+            pass
+        raise ValueError(f"{name} must be a non-negative whole number, got {value!r}")

@@ -40,7 +40,7 @@ class BearingGeometry:
     contact_angle_rad: float = 0.0
 
     def __post_init__(self):
-        _require_whole(self, "n_rolling_elements")
+        _require_whole(n_rolling_elements=self.n_rolling_elements)
         if self.n_rolling_elements < 2:
             raise ValueError("need at least 2 rolling elements")
         if not (0 < self.roller_diameter < self.pitch_diameter < math.inf):
@@ -62,8 +62,8 @@ class FaultFrequencies:
 
     def __post_init__(self):
         for name in ("bpfo_hz", "bpfi_hz", "bsf_hz"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def kurtosis(f):
 
 def fault_frequencies(geometry, shaft_hz):
     """Defect frequencies from bearing kinematics at a given shaft speed."""
-    if not (shaft_hz > 0):
-        raise ValueError("shaft_hz must be positive")
+    if not (0 < shaft_hz < math.inf):
+        raise ValueError("shaft_hz must be positive and finite")
     n = geometry.n_rolling_elements
     ratio = geometry.roller_diameter / geometry.pitch_diameter
     cos_term = ratio * math.cos(geometry.contact_angle_rad)

@@ -62,7 +62,7 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_whole(self, "grid_rows", "grid_cols", "epochs")
+        _require_whole(**vars(self))  # every field is a count or the seed
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ValueError("SOM grid must be at least 2x2")
         if self.epochs < 1:

@@ -4,11 +4,13 @@ Snapshots use the classic NASA/IMS layout: plain-text files, one row per
 sample, tab-separated sensor channels, and the acquisition timestamp in
 the filename as ``YYYY.MM.DD.HH.MM.SS``.  The same reader and writer serve
 the CLI's one-column signal CSV, which adds a ``sample`` header line.
-Files carry no sample rate, so the caller supplies it.  Every file is
-decoded by ``_read_text`` and walked by ``_lines``.
+A file's sample rate is the caller's, else its ``<name>.json`` sidecar's
+(:class:`SnapshotFiles`).  Every file is decoded by ``_read_text`` and walked by ``_lines``.
 """
 
 import codecs
+import json
+import sys
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -26,10 +28,10 @@ __all__ = [
     "read_ims_file",
     "write_ims_file",
     "iterate_run_to_failure",
+    "SnapshotFiles",
     "RunToFailureFiles",
     "RunToFailureSequence",
     "Skipped",
-    "SnapshotSignals",
     "read_manifest",
 ]
 
@@ -169,6 +171,54 @@ def write_ims_file(path, channels, header=None):
         fh.write(row * channels.shape[0] % tuple(channels.ravel()))
 
 
+def _sample_rate(path, sample_rate_hz):
+    """``sample_rate_hz``, or when None the rate in ``path``'s ``<name>.json`` sidecar."""
+    if sample_rate_hz is not None:
+        return sample_rate_hz
+    sidecar = path.with_name(path.name + ".json")
+    with naming(sidecar.name):
+        try:
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            meta = {}
+        except ValueError as exc:
+            raise ValueError(f"sidecar is not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise ValueError("sidecar is not a JSON object")
+        rate = meta.get("sample_rate_hz")
+        if rate is not None and not (type(rate) in (int, float)
+                                     and 0 < rate <= sys.float_info.max):
+            raise ValueError(f"sample_rate_hz {rate!r} is not a positive finite number")
+    if rate is None:
+        path.stat()  # a missing file is reported as missing, not as one without a rate
+        raise ValueError(f"{path.name}: sample rate unknown; pass --sample-rate or provide a sidecar")
+    return rate
+
+
+class SnapshotFiles:
+    """Channel ``channel`` of each of ``paths``, read when indexed: ``files[i]`` reads file ``i``.
+
+    A given ``sample_rate_hz`` is checked before any read; None takes each file's sidecar rate.
+    """
+
+    def __init__(self, paths, channel, sample_rate_hz):
+        if sample_rate_hz is not None and not (0 < sample_rate_hz < np.inf):
+            raise ValueError("sample_rate_hz must be positive and finite")
+        self.paths = [Path(path) for path in paths]
+        self.channel = channel
+        self.sample_rate_hz = sample_rate_hz
+
+    def __len__(self):
+        return len(self.paths)
+
+    def read(self, i):
+        """File ``i`` as a :class:`SnapshotFile`, every channel of it."""
+        return read_ims_file(self.paths[i], _sample_rate(self.paths[i], self.sample_rate_hz))
+
+    def __getitem__(self, i):
+        return self.read(i).channel_signal(self.channel)
+
+
 @dataclass
 class RunToFailureSequence:
     """Chronologically ordered signals plus per-file failure notes."""
@@ -188,22 +238,16 @@ class Skipped(NamedTuple):
     n_channels: int | None
 
 
-class RunToFailureFiles:
+class RunToFailureFiles(SnapshotFiles):
     """The snapshot files of a run-to-failure directory, in filename-timestamp order, unread.
 
-    Constructing it lists the directory and notes each file whose name does
-    not parse as a timestamp in ``errors``, except the ``<name>.json``
-    sidecar of a timestamped file ``<name>``.  ``files[i]`` reads file ``i``:
-    its ``channel`` as a :class:`Signal`, or a :class:`Skipped` that says why
-    it gives none.  So each file can be read where it is used (``pipeline``
-    reads it on the CPU that fits it), and :meth:`sequence` applies the
-    skip rules to what came back.
+    ``errors`` notes each name that is no timestamp, except the ``<name>.json`` sidecar of a
+    timestamped ``<name>``.  ``files[i]`` gives a :class:`Skipped` where :class:`SnapshotFiles`
+    raises, and :meth:`sequence` applies the skip rules to what came back.
     """
 
     def __init__(self, directory, channel, sample_rate_hz):
         self.directory = Path(directory)
-        self.channel = channel
-        self.sample_rate_hz = sample_rate_hz
         entries = sorted(p for p in self.directory.iterdir() if p.is_file())
         if not entries:
             raise FileNotFoundError(f"no files found in {self.directory}")
@@ -211,17 +255,12 @@ class RunToFailureFiles:
         sidecars = {path.with_name(path.name + ".json") for ts, path in stamped if ts is not None}
         self.errors = [(str(path), "filename does not encode a timestamp")
                        for ts, path in stamped if ts is None and path not in sidecars]
-        stamped = [(ts, path) for ts, path in stamped if ts is not None]
-        stamped.sort(key=lambda item: (item[0], item[1].name))
-        self.paths = [path for _, path in stamped]
-
-    def __len__(self):
-        return len(self.paths)
+        stamped = sorted((ts, path.name, path) for ts, path in stamped if ts is not None)
+        super().__init__([path for *_, path in stamped], channel, sample_rate_hz)
 
     def __getitem__(self, i):
-        path = self.paths[i]
         try:
-            snapshot = read_ims_file(path, self.sample_rate_hz)
+            snapshot = self.read(i)
         except (ValueError, OSError) as exc:
             return Skipped(str(exc), None)
         try:
@@ -232,61 +271,37 @@ class RunToFailureFiles:
     def sequence(self, outcomes):
         """The files that gave a signal, given ``outcomes[i]``: ``files[i]``, or what was made of it.
 
-        A :class:`Skipped` outcome is recorded in ``errors``, after the
-        names that are not timestamps, and left out.  When no file gives a
-        signal, ``ValueError`` says why: the ``channel`` is out of range in
-        every parsed file, or it cites their errors (a non-finite sample,
-        too few rows).
+        A :class:`Skipped` outcome is recorded in ``errors`` and left out.  With
+        no signal the error says why: the ``channel`` is out of range in every
+        parsed file, or it cites the first three files' errors.
         """
-        signals, paths, errors = [], [], list(self.errors)
-        unusable = []  # the Skipped of each file that parsed
-        for path, outcome in zip(self.paths, outcomes):
-            if isinstance(outcome, Skipped):
-                errors.append((str(path), outcome.message))
-                if outcome.n_channels is not None:
-                    unusable.append(outcome)
-            else:
-                signals.append(outcome)
-                paths.append(path)
-        if unusable and not signals:
-            if all(not 0 <= self.channel < width for _, width in unusable):
-                raise ValueError(f"channel {self.channel} is out of range in all {len(unusable)} "
-                                 f"parseable snapshots in {self.directory}")
-            more = f"; and {len(unusable) - 3} more" if len(unusable) > 3 else ""
-            raise ValueError(f"no parseable snapshot in {self.directory} gives a signal on channel "
-                             f"{self.channel}: " + "; ".join(e for e, _ in unusable[:3]) + more)
-        if not signals:
-            raise FileNotFoundError(f"no parseable snapshot files in {self.directory}")
-        return RunToFailureSequence(signals=signals, paths=paths, errors=errors)
+        pairs = list(zip(self.paths, outcomes))
+        errors = self.errors + [(str(p), o.message) for p, o in pairs if isinstance(o, Skipped)]
+        kept = [(p, o) for p, o in pairs if not isinstance(o, Skipped)]
+        if kept:
+            return RunToFailureSequence(signals=[o for _, o in kept], paths=[p for p, _ in kept],
+                                        errors=errors)
+        parsed = [outcome for outcome in outcomes if outcome.n_channels is not None]
+        if parsed and all(not 0 <= self.channel < width for _, width in parsed):
+            raise ValueError(f"channel {self.channel} is out of range in all {len(parsed)} "
+                             f"parseable snapshots in {self.directory}")
+        cited = parsed or outcomes
+        more = f"; and {len(cited) - 3} more" if len(cited) > 3 else ""
+        why = ": " + "; ".join(message for message, _ in cited[:3]) + more if cited else ""
+        if parsed:
+            raise ValueError(f"no parseable snapshot in {self.directory} gives a signal on "
+                             f"channel {self.channel}{why}")
+        raise FileNotFoundError(f"no parseable snapshot files in {self.directory}{why}")
 
 
 def iterate_run_to_failure(directory, channel, sample_rate_hz):
     """Read every snapshot in a directory in filename-timestamp order, one after another.
 
-    Files whose names do not parse as timestamps, or whose contents fail
-    to parse, are recorded in ``errors`` and skipped; iteration continues
-    (see :class:`RunToFailureFiles`).  The sequence index of the result is
-    the chronological "test file No.".
+    The files that give no signal are recorded in ``errors`` and skipped (see
+    :class:`RunToFailureFiles`); the index of the result is the "test file No.".
     """
     files = RunToFailureFiles(directory, channel, sample_rate_hz)
     return files.sequence([files[i] for i in range(len(files))])
-
-
-class SnapshotSignals:
-    """Channel 0 of each file in ``paths``, read only when indexed: ``signals[i]`` reads file ``i``.
-
-    A read or channel error is raised as it is and names the file.
-    """
-
-    def __init__(self, paths, sample_rate_hz):
-        self.paths = paths
-        self.sample_rate_hz = sample_rate_hz
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __getitem__(self, i):
-        return read_ims_file(self.paths[i], self.sample_rate_hz).channel_signal(0)
 
 
 def read_manifest(path, sample_rate_hz):
@@ -294,7 +309,8 @@ def read_manifest(path, sample_rate_hz):
 
     Paths are relative to the manifest; line 1 is a header when it starts
     with ``path``.  A malformed line raises :class:`SignalParseError` at it,
-    before any snapshot is read.  The signals are a :class:`SnapshotSignals`.
+    before any snapshot is read.  The signals are channel 0 of each file, a
+    :class:`SnapshotFiles` at ``sample_rate_hz`` (None: each file's sidecar's).
     """
     path = Path(path)
     with naming(path.name):
@@ -309,4 +325,4 @@ def read_manifest(path, sample_rate_hz):
             labels.append(label)
         if not paths:
             raise SignalParseError("empty manifest")
-        return LabeledDataset(signals=SnapshotSignals(paths, sample_rate_hz), labels=labels)
+    return LabeledDataset(signals=SnapshotFiles(paths, 0, sample_rate_hz), labels=labels)

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .core_signal import Signal, convolve_valid
-from .errors import naming
+from .errors import _require_whole, naming
 from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
@@ -306,6 +306,7 @@ def classify_dataset(
         raise ValueError("classification needs at least 2 classes")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
+    _require_whole(seed=seed)
     signals = dataset.signals
     fits = _fan_out(partial(_snapshot, signals, faults, filter_length, band_fraction), len(signals))
     raw_matrix, filtered_matrix = _feature_matrices(fits)
@@ -329,6 +330,7 @@ def gradient_check(n_trials=20, n_samples=256, filter_length=32, step=1e-6, seed
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
+    _require_whole(seed=seed)
     errors = []
     for trial in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))

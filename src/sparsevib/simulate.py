@@ -68,7 +68,7 @@ class FaultSimConfig:
                 raise ValueError(f"unknown fault component {name!r}")
         if len(set(self.fault_components)) != len(self.fault_components):
             raise ValueError("fault_components must not repeat")
-        _require_whole(self, "n_samples")
+        _require_whole(n_samples=self.n_samples, seed=self.seed)
         if self.n_samples < 1024:
             raise ValueError("n_samples must be at least 1024")
         if not (0 < self.sample_rate_hz < math.inf):

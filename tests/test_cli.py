@@ -15,6 +15,7 @@ import pytest
 from sparsevib import FaultSimConfig, SomConfig, gaussian_with_outlier, pipeline, sparse_filter
 from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
                            build_parser, main)
+from sparsevib.features import FEATURE_NAMES
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -252,6 +253,22 @@ class TestFeatures:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("faults, message", [
+        (["--bpfo", "inf", "--bpfi", "160", "--bsf", "70"], "bpfo_hz must be positive and finite"),
+        (["--bpfo", "100", "--bpfi", "160", "--bsf", "nan"], "bsf_hz must be positive and finite"),
+        (["--geometry", "9,1,4,0", "--shaft-hz", "inf"], "shaft_hz must be positive and finite"),
+    ])
+    def test_infinite_fault_frequency_fails_before_the_read(self, sim_csv, tmp_path, capsys,
+                                                            monkeypatch, faults, message):
+        from sparsevib import ingest
+
+        reads, read = [], ingest.read_ims_file
+        monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
+        code = run(["features", "--input", str(sim_csv), *faults, "-o", str(tmp_path / "f.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == []
+
     def test_mutually_exclusive_sources(self, sim_csv, tmp_path):
         code = run(["features", "--input", str(sim_csv),
                     "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
@@ -363,7 +380,7 @@ class TestAssess:
             write_ims_file(data / stamp, rng.standard_normal((1024, 2)))
         code = run([
             "assess", "--input-dir", str(data), "--channel", "5", "--n-train", "2",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "--sample-rate", "20000", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
             "-o", str(tmp_path / "mqe.csv"),
         ])
         assert code == 1
@@ -417,11 +434,13 @@ class TestAssess:
             (data / f"2004.02.12.10.{minute:02d}.39").write_text("junk\n")
         code = run([
             "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "2",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "--sample-rate", "20000", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
             "-o", str(tmp_path / "mqe.csv"),
         ])
         assert code == 2
-        assert f"error: no parseable snapshot files in {data}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: no parseable snapshot files in {data}" in err
+        assert "2004.02.12.10.00.39: file contains no samples" in err
 
     def test_binary_snapshot_reported_and_skipped(self, tmp_path):
         from sparsevib import write_ims_file
@@ -435,7 +454,7 @@ class TestAssess:
         out = tmp_path / "mqe.csv"
         code = run([
             "assess", "--input-dir", str(data), "--channel", "0", "--n-train", "3",
-            "--som-epochs", "20", "--filter-length", "32",
+            "--sample-rate", "20000", "--som-epochs", "20", "--filter-length", "32",
             "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(out),
         ])
         assert code == 0
@@ -523,7 +542,9 @@ class TestClassify:
         ])
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
+        jsonschema.validate(report, load_schema("report_classify.schema.json"))
         assert sorted(set(report["labels"])) == ["normal", "outer"]
+        assert report["source"] == {"manifest": str(manifest), "sample_rate_hz": 20000.0}
 
     def test_zero_restarts_rejected(self, tmp_path, capsys, monkeypatch):
         fits = []
@@ -542,6 +563,27 @@ class TestClassify:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "n_restarts" in err
+        assert fits == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048"],
+        ["classify", "--manifest", "{manifest}"],
+        ["assess", "--simulate-degradation", "--n-files", "4", "--onset", "2", "--n-train", "3",
+         "--n-samples", "2048"],
+        ["gradcheck", "--trials", "1"],
+    ], ids=["simulate", "classify-taxonomy", "classify-manifest", "assess", "gradcheck"])
+    def test_negative_seed_rejected_before_fits(self, tmp_path, capsys, monkeypatch, argv):
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_simplified_csf", lambda *args: fits.append(args))
+        manifest = write_manifest(tmp_path, taxonomy_signals(2))
+        argv = [arg.format(manifest=manifest) for arg in argv]
+        if argv[0] in ("classify", "assess"):
+            argv += ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
+        if argv[0] != "gradcheck":
+            argv += ["-o", str(tmp_path / "out")]
+        assert run([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative whole number, got -1\n"
         assert fits == []
 
     def test_malformed_manifest_line_names_file_and_line(self, tmp_path, capsys):
@@ -747,8 +789,8 @@ class TestReadInTheUnit:
     FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
 
     def assess(self, data, out, *flags):
-        return run(["assess", "--input-dir", str(data), "--channel", "1", *self.FAULTS,
-                    *flags, "-o", str(out)])
+        return run(["assess", "--input-dir", str(data), "--channel", "1", "--sample-rate", "20000",
+                    *self.FAULTS, *flags, "-o", str(out)])
 
     def test_input_dir_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         from sparsevib import iterate_run_to_failure
@@ -766,6 +808,7 @@ class TestReadInTheUnit:
         report = json.loads(outputs[0][1])
         jsonschema.validate(report, load_schema("report_assess.schema.json"))
         check_filter_fits(report["filter_fits"], 7)
+        assert report["source"]["sample_rate_hz"] == 20000.0
         errors = iterate_run_to_failure(data, 1, 20000.0).errors
         assert len(errors) == 3
         assert report["source"]["parse_errors"] == [list(error) for error in errors]
@@ -802,6 +845,122 @@ class TestReadInTheUnit:
             assert run(argv) == 2
             assert capsys.readouterr().err == (
                 f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.txt'}'\n")
+
+
+UNKNOWN_RATE = "sample rate unknown; pass --sample-rate or provide a sidecar"
+
+
+class TestSampleRate:
+    """Every file input takes ``--sample-rate``, or else each file's ``<name>.json`` sidecar's rate."""
+
+    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
+
+    @pytest.mark.parametrize("command", ["filter", "features", "classify"])
+    def test_unknown_rate_names_the_file(self, tmp_path, capsys, command):
+        from sparsevib import write_ims_file
+
+        write_ims_file(tmp_path / "rec.csv", gaussian_with_outlier(2048, 8.0, seed=0).samples[:, None],
+                       header="sample")
+        (tmp_path / "runs.csv").write_text("rec.csv,outer\nrec.csv,normal\n")
+        argv = {"filter": ["filter", "--input", str(tmp_path / "rec.csv")],
+                "features": ["features", "--input", str(tmp_path / "rec.csv"), *self.FAULTS],
+                "classify": ["classify", "--manifest", str(tmp_path / "runs.csv"), *self.FAULTS]}
+        assert run([*argv[command], "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: rec.csv: {UNKNOWN_RATE}\n"
+
+    def simulated_run(self, run_dir, sample_rate, n):
+        """``n`` records at ``sample_rate``, outer-race and normal in turn, with ``simulate``'s sidecars."""
+        run_dir.mkdir()
+        for k in range(n):
+            assert run(["simulate", "--fault", ("outer", "")[k % 2], "--snr-db", "0",
+                        "--damping-rate", "2000", "--sample-rate", sample_rate,
+                        "--n-samples", "4096", "--seed", str(k),
+                        "-o", str(run_dir / f"2004.02.12.10.{k:02d}.39")]) == 0
+        return sorted(p for p in run_dir.iterdir() if p.suffix != ".json")
+
+    def test_input_dir_skips_a_file_without_a_rate(self, tmp_path):
+        from sparsevib import write_ims_file
+
+        records = self.simulated_run(tmp_path / "run", "20000", 4)
+        bare = tmp_path / "run" / "2004.02.12.10.01.40"
+        write_ims_file(bare, np.loadtxt(records[1], skiprows=1)[:, None], header="sample")
+        out = tmp_path / "mqe.csv"
+        assert run(["assess", "--input-dir", str(tmp_path / "run"), "--channel", "0",
+                    "--n-train", "3", "--som-epochs", "5", "--filter-length", "32",
+                    *self.FAULTS, "-o", str(out)]) == 0
+        report = json.loads(Path(f"{out}.json").read_text())
+        jsonschema.validate(report, load_schema("report_assess.schema.json"))
+        assert report["source"]["parse_errors"] == [[str(bare), f"{bare.name}: {UNKNOWN_RATE}"]]
+        assert report["source"]["sample_rate_hz"] is None
+        assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_input_dir_without_any_rate_says_why(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for minute in range(4):
+            (data / f"2004.02.12.10.{minute:02d}.39").write_text("0.5\n-0.25\n" * 1024)
+        code = run(["assess", "--input-dir", str(data), "--channel", "0", "--n-train", "2",
+                    *self.FAULTS, "-o", str(tmp_path / "mqe.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: no parseable snapshot files in {data}: "
+            + "; ".join(f"2004.02.12.10.{m:02d}.39: {UNKNOWN_RATE}" for m in range(3))
+            + "; and 1 more\n")
+
+    @pytest.mark.parametrize("rate", ["inf", "0", "nan"])
+    @pytest.mark.parametrize("mode", ["--manifest", "--input-dir"])
+    def test_bad_rate_fails_before_any_read(self, tmp_path, capsys, monkeypatch, mode, rate):
+        from sparsevib import ingest
+
+        records = self.simulated_run(tmp_path / "run", "20000", 4)
+        (tmp_path / "runs.csv").write_text(
+            "".join(f"run/{p.name},{('outer', 'normal')[k % 2]}\n" for k, p in enumerate(records)))
+        argv = {"--manifest": ["classify", "--manifest", str(tmp_path / "runs.csv")],
+                "--input-dir": ["assess", "--input-dir", str(tmp_path / "run"), "--channel", "0",
+                                "--n-train", "2"]}[mode]
+        reads, read = [], ingest.read_ims_file
+        monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
+        assert run([*argv, "--sample-rate", rate, *self.FAULTS, "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: sample_rate_hz must be positive and finite\n"
+        assert reads == []
+
+    def test_sidecar_rates_give_the_features_of_each_record(self, tmp_path):
+        # 50 kHz records: a guessed 20 kHz would put every defect period at the wrong lag.
+        from sparsevib import FaultFrequencies, assess_sequence, classify_dataset
+        from sparsevib.ingest import RunToFailureFiles, read_manifest
+
+        records = self.simulated_run(tmp_path / "run", "50000", 4)
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(
+            "".join(f"run/{p.name},{('outer', 'normal')[k % 2]}\n" for k, p in enumerate(records)))
+        want = []
+        for k, record in enumerate(records):
+            out = tmp_path / f"features{k}.json"
+            assert run(["features", "--input", str(record), *self.FAULTS, "-o", str(out)]) == 0
+            values = json.loads(out.read_text())["features"]
+            want.append([values[name] for name in FEATURE_NAMES])
+        faults = FaultFrequencies(100.0, 160.0, 70.0)
+        run_files = RunToFailureFiles(tmp_path / "run", 0, None)
+        assert [s.sample_rate_hz for s in run_files] == [50000.0] * 4
+        fits = assess_sequence(run_files, faults, 32, n_train=3).fits
+        assert [fit.raw.tolist() for fit in fits] == want
+        fits = classify_dataset(read_manifest(manifest, None), faults, 32, n_restarts=1).fits
+        assert [fit.raw.tolist() for fit in fits] == want
+
+        # The commands give what --sample-rate 50000 gives; their reports say whose rate it was.
+        commands = {"classify": ["classify", "--manifest", str(manifest), "--restarts", "1"],
+                    "assess": ["assess", "--input-dir", str(tmp_path / "run"), "--channel", "0",
+                               "--n-train", "3", "--som-epochs", "5"]}
+        for name, argv in commands.items():
+            reports = []
+            for rate in ([], ["--sample-rate", "50000"]):
+                out = tmp_path / f"{name}{len(rate)}"
+                assert run([*argv, *rate, *self.FAULTS, "--filter-length", "32",
+                            "-o", str(out)]) == 0
+                report = out / "report.json" if name == "classify" else Path(f"{out}.json")
+                reports.append(json.loads(report.read_text()))
+            assert [r["source"].pop("sample_rate_hz") for r in reports] == [None, 50000.0]
+            assert reports[0] == reports[1]
 
 
 def _perfbench_workloads():

@@ -124,6 +124,16 @@ class TestFaultFrequencies:
         geometry = BearingGeometry(8, 1.0, 4.0, 0.0)
         with pytest.raises(ValueError):
             fault_frequencies(geometry, 0.0)
+        for shaft_hz in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="shaft_hz must be positive and finite"):
+                fault_frequencies(geometry, shaft_hz)
+
+    def test_frequencies_must_be_positive_and_finite(self):
+        for name in ("bpfo_hz", "bpfi_hz", "bsf_hz"):
+            for value in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    FaultFrequencies(**{"bpfo_hz": 100.0, "bpfi_hz": 160.0, "bsf_hz": 70.0,
+                                        name: value})
 
 
 class TestBlehnr:

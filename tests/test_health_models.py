@@ -33,6 +33,11 @@ class TestSomTrain:
         with pytest.raises(ValueError, match="grid|epochs"):
             SomConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan")])
+    def test_config_rejects_a_seed_that_is_not_a_non_negative_whole_number(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SomConfig(seed=seed)
+
     def test_schedule_starts_at_half_the_longer_side(self, monkeypatch):
         from sparsevib import health_models
 

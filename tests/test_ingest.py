@@ -7,7 +7,7 @@ from sparsevib import (
     read_ims_file,
     write_ims_file,
 )
-from sparsevib.ingest import read_manifest
+from sparsevib.ingest import RunToFailureFiles, SnapshotFiles, read_manifest
 
 
 def make_snapshot(path, rows=16, cols=4, seed=0):
@@ -276,3 +276,46 @@ class TestReadManifest:
         make_snapshot(tmp_path / "a.txt", cols=1)
         with pytest.raises(SignalParseError, match="runs.csv: line 3: expected 'path,label'"):
             read_manifest(tmp_path / "runs.csv", 20000.0)
+
+
+class TestSnapshotFiles:
+    def test_the_sidecar_gives_the_rate_a_caller_leaves_out(self, tmp_path):
+        make_snapshot(tmp_path / "a.txt", cols=2)
+        (tmp_path / "a.txt.json").write_text('{"sample_rate_hz": 50000}')
+        assert SnapshotFiles([tmp_path / "a.txt"], 1, None)[0].sample_rate_hz == 50000.0
+        assert SnapshotFiles([tmp_path / "a.txt"], 1, 12000.0)[0].sample_rate_hz == 12000.0
+
+    def test_a_given_rate_opens_no_sidecar(self, tmp_path):
+        make_snapshot(tmp_path / "a.txt", cols=1)
+        (tmp_path / "a.txt.json").write_text("[]")  # not an object: read, it would raise
+        assert len(SnapshotFiles([tmp_path / "a.txt"], 0, 20000.0)[0]) == 16
+        with pytest.raises(ValueError, match="^a.txt.json: sidecar is not a JSON object$"):
+            SnapshotFiles([tmp_path / "a.txt"], 0, None)[0]
+
+    def test_no_rate_names_the_file(self, tmp_path):
+        make_snapshot(tmp_path / "a.txt", cols=1)
+        (tmp_path / "b.txt.json").write_text('{"sample_rate_hz": 50000}')  # another file's
+        with pytest.raises(ValueError, match="^a.txt: sample rate unknown; pass --sample-rate "
+                                             "or provide a sidecar$"):
+            SnapshotFiles([tmp_path / "a.txt"], 0, None)[0]
+        with pytest.raises(FileNotFoundError):  # missing, whatever its rate
+            SnapshotFiles([tmp_path / "missing.txt"], 0, None)[0]
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_a_bad_rate_fails_before_any_read(self, tmp_path, rate):
+        with pytest.raises(ValueError, match="^sample_rate_hz must be positive and finite$"):
+            SnapshotFiles([tmp_path / "missing.txt"], 0, rate)
+        make_snapshot(tmp_path / "2004.02.12.10.32.39")
+        with pytest.raises(ValueError, match="^sample_rate_hz must be positive and finite$"):
+            RunToFailureFiles(tmp_path, 0, rate)
+
+    def test_run_files_without_a_rate_are_skipped(self, tmp_path):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=1, seed=1)
+        (tmp_path / "2004.02.12.10.32.39.json").write_text('{"sample_rate_hz": 50000}')
+        make_snapshot(tmp_path / "2004.02.12.10.42.39", cols=1, seed=2)
+        files = RunToFailureFiles(tmp_path, 0, None)
+        sequence = files.sequence([files[i] for i in range(len(files))])
+        assert [s.sample_rate_hz for s in sequence.signals] == [50000.0]
+        assert sequence.errors == [(str(tmp_path / "2004.02.12.10.42.39"),
+                                    "2004.02.12.10.42.39: sample rate unknown; pass --sample-rate "
+                                    "or provide a sidecar")]

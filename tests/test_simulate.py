@@ -92,6 +92,9 @@ class TestSimulateBearingFault:
         for n_samples in (4096.5, 4096.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="n_samples"):
                 FaultSimConfig(n_samples=n_samples)
+        for seed in (-1, 1.5, 1.0, math.nan):
+            with pytest.raises(ValueError, match="seed"):
+                FaultSimConfig(seed=seed)
         FaultSimConfig(snr_db=math.inf)  # noiseless
 
 
