@@ -14,7 +14,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,7 @@ from .features import (
 from .health_models import SomConfig
 from .ingest import RunToFailureFiles, SnapshotFiles, read_manifest, write_ims_file
 from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
-from .simulate import (
-    FaultSimConfig,
-    make_degradation_sequence,
-    make_fault_taxonomy_dataset,
-    simulate_bearing_fault,
-)
+from .simulate import FaultSimConfig, simulate_bearing_fault
 from .sparse_filter import STOP_REASONS
 
 OUTPUT_DIR_ENV = "SPARSEVIB_OUTPUT_DIR"
@@ -76,7 +71,7 @@ def _json_dict(items):
 
 
 class _UsageError(Exception):
-    """A flag the chosen input mode does not read; ``main`` exits 2 through the parser."""
+    """A flag given without the one that reads it; ``main`` exits 2 through the parser."""
 
 
 def _config_from_args(cls, args, **fixed):
@@ -88,6 +83,8 @@ def _config_from_args(cls, args, **fixed):
 def _fault_frequencies_from_args(args):
     explicit = [args.bpfo, args.bpfi, args.bsf]
     has_geometry = args.geometry is not None
+    if args.shaft_hz is not None and not has_geometry:
+        raise _UsageError("--shaft-hz is read only together with --geometry")
     if has_geometry and any(v is not None for v in explicit):
         raise ValueError("give either --geometry with --shaft-hz, or explicit --bpfo/--bpfi/--bsf")
     if has_geometry:
@@ -97,7 +94,7 @@ def _fault_frequencies_from_args(args):
                 raise ValueError
         except ValueError:
             raise ValueError("--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad")
-        if "shaft_hz" not in vars(args):
+        if args.shaft_hz is None:
             raise ValueError("--geometry needs --shaft-hz")
         geometry = BearingGeometry(int(n), d, big_d, angle)
         return fault_frequencies(geometry, args.shaft_hz)
@@ -112,7 +109,7 @@ def _fault_frequencies_from_args(args):
 _FIELD_FLAGS = {
     "--fault": ("fault_components", {"type": lambda text: tuple(filter(None, text.split(","))),
                                      "help": "comma list from {outer,inner,roller}; empty = normal"}),
-    "--snr-db": ("snr_db", {"help": "signal-to-noise ratio, dB"}),
+    "--snr-db": ("snr_db", {"help": "signal-to-noise ratio, dB; inf for a noiseless signal"}),
     "--n-samples": ("n_samples", {}),
     "--sample-rate": ("sample_rate_hz", {}),
     "--resonance-hz": ("resonance_hz", {}),
@@ -125,17 +122,6 @@ _FIELD_FLAGS = {
     "--som-epochs": ("epochs", {}),
     "--seed": ("seed", {}),
 }
-_SIM_FIELD_FLAGS = ("--snr-db", "--n-samples", "--resonance-hz", "--damping-rate", "--outer-hz",
-                    "--jitter")
-
-# Flags of ``assess`` and ``classify`` that only simulated input reads, by dest.
-# They are registered without a default, so one given with file input shows
-# in the namespace and is rejected.  With simulated input the config fields
-# left out keep their dataclass defaults, and the other flags default to these.
-_SIM_ONLY_DEFAULTS = {"n_files": 100, "onset": 40, "n_per_class": 10}
-_SIM_ONLY = {"--n-files": "n_files", "--onset": "onset", "--n-per-class": "n_per_class",
-             **{flag: _FIELD_FLAGS[flag][0]
-                for flag in (*_SIM_FIELD_FLAGS, "--inner-hz", "--roller-hz")}}
 
 
 def _add_field_flags(parser, config, *flags):
@@ -143,35 +129,6 @@ def _add_field_flags(parser, config, *flags):
         name, kwargs = _FIELD_FLAGS[flag]
         default = getattr(config, name)
         parser.add_argument(flag, dest=name, default=default, **{"type": type(default), **kwargs})
-
-
-def _add_simulation_flags(parser, mode_flag, sim, *flags):
-    """Flags read only with ``mode_flag``, registered without a default (see ``_SIM_ONLY``)."""
-    group = parser.add_argument_group(f"read only with {mode_flag}")
-    for flag in flags:
-        dest = _SIM_ONLY[flag]
-        if flag in _FIELD_FLAGS:
-            kwargs = {"type": type(getattr(sim, dest)), **_FIELD_FLAGS[flag][1]}
-        else:
-            kwargs = {"type": int, "help": f"default {_SIM_ONLY_DEFAULTS[dest]}"}
-        group.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
-
-
-def _input_mode_args(args, file_flag):
-    """``args`` for the chosen input: with ``file_flag`` no flag that input ignores may be given.
-
-    Simulated input reads ``--shaft-hz`` and fills in its default; a file
-    reads it only with ``--geometry``.  A file's ``--sample-rate`` defaults to None.
-    """
-    if file_flag:
-        given = [flag for flag, dest in _SIM_ONLY.items() if dest in vars(args)]
-        if given:
-            raise _UsageError(f"{given[0]} is read only with simulated input, not with {file_flag}")
-        if "shaft_hz" in vars(args) and args.geometry is None:
-            raise _UsageError(f"--shaft-hz is read with {file_flag} only together with --geometry")
-        return argparse.Namespace(**{"sample_rate_hz": None, **vars(args)})
-    return argparse.Namespace(**{**_SIM_ONLY_DEFAULTS, "shaft_hz": FaultSimConfig.shaft_hz,
-                                 "sample_rate_hz": FaultSimConfig.sample_rate_hz, **vars(args)})
 
 
 def _add_param_flags(parser, func, flags):
@@ -197,35 +154,24 @@ def _fit_summary(fits):
     }
 
 
-def _add_fault_freq_flags(parser, sim=None):
-    """Fault-frequency flags and ``--sample-rate``; with ``sim`` simulated input reads ``--shaft-hz``.
-
-    ``--shaft-hz`` has no default here (see ``_input_mode_args``).
-    """
+def _add_fault_freq_flags(parser):
+    """Fault-frequency flags and ``--sample-rate``."""
     parser.add_argument("--bpfo", type=float, help="outer-race defect frequency, Hz")
     parser.add_argument("--bpfi", type=float, help="inner-race defect frequency, Hz")
     parser.add_argument("--bsf", type=float, help="roller defect frequency, Hz")
     parser.add_argument("--geometry", help="n,roller_diameter,pitch_diameter,contact_angle_rad")
-    shaft_help = "shaft speed for --geometry, Hz"
-    if sim is not None:
-        shaft_help += f"; simulated input reads it too (default {sim.shaft_hz})"
-    parser.add_argument("--shaft-hz", dest="shaft_hz", type=float, default=argparse.SUPPRESS,
-                        help=shaft_help)
-    parser.add_argument("--band-fraction", type=float, default=DEFAULT_BAND_FRACTION)
-    _add_sample_rate_flag(parser, sim)  # each defect period is searched at fs / f lags
+    parser.add_argument("--shaft-hz", dest="shaft_hz", type=float,
+                        help="shaft speed for --geometry, Hz")
+    _add_sample_rate_flag(parser)  # each defect period is searched at fs / f lags
 
 
-def _add_sample_rate_flag(parser, sim=None):
-    """``--sample-rate``, without a default here (see ``_input_mode_args``)."""
-    default = f"; simulated input default {sim.sample_rate_hz}" if sim else ""
-    parser.add_argument("--sample-rate", dest="sample_rate_hz", type=float, default=argparse.SUPPRESS,
-                        help=f"Hz; without it each file's <name>.json sidecar gives it{default}")
+def _add_sample_rate_flag(parser):
+    parser.add_argument("--sample-rate", dest="sample_rate_hz", type=float,
+                        help="Hz; without it each file's <name>.json sidecar gives it")
 
 
 def cmd_simulate(args):
     config = _config_from_args(FaultSimConfig, args)
-    if args.noiseless:
-        config = replace(config, snr_db=math.inf)
     signal = simulate_bearing_fault(config)
     out = _out_path(args.output)
     write_ims_file(out, signal.samples[:, None], header="sample")
@@ -241,7 +187,6 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    args = _input_mode_args(args, "--input")
     signal = SnapshotFiles([args.input], 0, args.sample_rate_hz)[0]
     t0 = time.perf_counter()
     with naming(Path(args.input).name):
@@ -272,16 +217,16 @@ def cmd_filter(args):
 
 
 def cmd_features(args):
-    args = _input_mode_args(args, "--input")
     faults = _fault_frequencies_from_args(args)
     signal = SnapshotFiles([args.input], 0, args.sample_rate_hz)[0]
     with naming(Path(args.input).name):
-        vector = extract_feature_vector(signal, faults, args.band_fraction)
+        vector = extract_feature_vector(signal, faults)
     values = dict(zip(FEATURE_NAMES, vector.as_array().tolist()))
     payload = {
         "kind": "features",
         "fault_frequencies_hz": _fault_block(faults),
-        "band_fraction": args.band_fraction,
+        "band_fraction": DEFAULT_BAND_FRACTION,
+        "sample_rate_hz": signal.sample_rate_hz,
         "features": values,
     }
     out = _out_path(args.output)
@@ -313,26 +258,10 @@ def _assess_branch_block(branch):
 
 
 def cmd_assess(args):
-    args = _input_mode_args(args, "--input-dir" if args.input_dir else None)
-    if not args.input_dir and args.channel is not None:
-        raise _UsageError("--channel is read only with --input-dir")
-    if args.input_dir and args.channel is None:
-        raise _UsageError("--channel is required with --input-dir")
     faults = _fault_frequencies_from_args(args)
-    if args.input_dir:
-        signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
-        source = {"input_dir": str(args.input_dir), "channel": args.channel,
-                  "sample_rate_hz": args.sample_rate_hz}
-    else:
-        base = _config_from_args(FaultSimConfig, args, fault_components=("outer",))
-        signals = make_degradation_sequence(args.n_files, args.onset, base)
-        source = {"simulated_degradation": {"n_files": args.n_files, "onset": args.onset,
-                                            "config": asdict(base, dict_factory=_json_dict)}}
+    signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
     som_config = _som_config_from_args(args)
-    report = assess_sequence(signals, faults, args.filter_length, som_config,
-                             n_train=args.n_train, band_fraction=args.band_fraction)
-    if args.input_dir:
-        source["parse_errors"] = report.parse_errors
+    report = assess_sequence(signals, faults, args.filter_length, som_config, n_train=args.n_train)
 
     out = _out_path(args.output)
     with open(out, "w") as fh:
@@ -341,10 +270,11 @@ def cmd_assess(args):
             fh.write(f"{i},{mr:.17g},{mf:.17g}\n")
     payload = {
         "kind": "assess",
-        "source": source,
+        "source": {"input_dir": str(args.input_dir), "channel": args.channel,
+                   "sample_rate_hz": args.sample_rate_hz, "parse_errors": report.parse_errors},
         "seed": args.seed,
         "n_train": report.n_train,
-        "band_fraction": args.band_fraction,
+        "band_fraction": DEFAULT_BAND_FRACTION,
         "fault_frequencies_hz": _fault_block(faults),
         "csf_config": {"filter_length": args.filter_length},
         "som": asdict(som_config),
@@ -363,18 +293,9 @@ def cmd_assess(args):
 
 
 def cmd_classify(args):
-    args = _input_mode_args(args, "--manifest" if args.manifest else None)
     faults = _fault_frequencies_from_args(args)
-    if args.manifest:
-        dataset = read_manifest(args.manifest, args.sample_rate_hz)
-        source = {"manifest": str(args.manifest), "sample_rate_hz": args.sample_rate_hz}
-    else:
-        base = _config_from_args(FaultSimConfig, args)
-        dataset = make_fault_taxonomy_dataset(args.n_per_class, base, seed=args.seed)
-        source = {"simulated_taxonomy": {"n_per_class": args.n_per_class,
-                                         "config": asdict(base, dict_factory=_json_dict)}}
+    dataset = read_manifest(args.manifest, args.sample_rate_hz)
     report = classify_dataset(dataset, faults, args.filter_length,
-                              band_fraction=args.band_fraction,
                               n_restarts=args.n_restarts, seed=args.seed)
 
     outdir = _out_path(args.output_dir)
@@ -390,9 +311,9 @@ def cmd_classify(args):
                    branch.vat.reordered_dissimilarity, delimiter=",", fmt="%.17g")
     payload = {
         "kind": "classify",
-        "source": source,
+        "source": {"manifest": str(args.manifest), "sample_rate_hz": args.sample_rate_hz},
         "seed": args.seed,
-        "band_fraction": args.band_fraction,
+        "band_fraction": DEFAULT_BAND_FRACTION,
         "fault_frequencies_hz": _fault_block(faults),
         "csf_config": {"filter_length": args.filter_length},
         "kmeans_restarts": args.n_restarts,
@@ -437,9 +358,9 @@ def build_parser():
 
     sim, som = FaultSimConfig(), SomConfig()
     p = sub.add_parser("simulate", help="generate a synthetic bearing signal")
-    _add_field_flags(p, sim, "--fault", "--sample-rate", "--shaft-hz", *_SIM_FIELD_FLAGS,
-                     "--inner-hz", "--roller-hz", "--seed")
-    p.add_argument("--noiseless", action="store_true", help="add no noise (overrides --snr-db)")
+    _add_field_flags(p, sim, "--fault", "--snr-db", "--n-samples", "--sample-rate",
+                     "--resonance-hz", "--damping-rate", "--shaft-hz", "--outer-hz", "--inner-hz",
+                     "--roller-hz", "--jitter", "--seed")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
 
@@ -459,34 +380,23 @@ def build_parser():
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("assess", help="SOM-MQE health assessment over a snapshot sequence")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--input-dir", help="directory of snapshot files")
-    group.add_argument("--simulate-degradation", action="store_true",
-                       help="simulate an outer-race fault growing from --onset")
-    p.add_argument("--channel", type=int, default=None)
+    p.add_argument("--input-dir", required=True, help="directory of snapshot files")
+    p.add_argument("--channel", type=int, required=True)
     _add_param_flags(p, assess_sequence, {"--n-train": "n_train",
                                           "--filter-length": "filter_length"})
     p.add_argument("--som-grid", default=f"{som.grid_rows}x{som.grid_cols}",
                    help="ROWSxCOLS (default %(default)s)")
-    _add_field_flags(p, som, "--som-epochs")
-    _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--seed")
-    _add_simulation_flags(p, "--simulate-degradation", sim, "--n-files", "--onset",
-                          *_SIM_FIELD_FLAGS)
+    _add_field_flags(p, som, "--som-epochs", "--seed")
+    _add_fault_freq_flags(p)
     p.add_argument("--save-models", default=None, help="prefix for saved SOM model JSON files")
     p.add_argument("-o", "--output", required=True, help="MQE series CSV path")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("classify", help="PCA + k-means + VAT on a labeled dataset")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--simulate-taxonomy", action="store_true")
-    group.add_argument("--manifest", help="CSV manifest: path,label per row")
+    p.add_argument("--manifest", required=True, help="CSV manifest: path,label per row")
     _add_param_flags(p, classify_dataset, {"--restarts": "n_restarts",
-                                           "--filter-length": "filter_length"})
-    _add_fault_freq_flags(p, sim)
-    _add_field_flags(p, sim, "--seed")
-    _add_simulation_flags(p, "--simulate-taxonomy", sim, "--n-per-class", *_SIM_FIELD_FLAGS,
-                          "--inner-hz", "--roller-hz")
+                                           "--filter-length": "filter_length", "--seed": "seed"})
+    _add_fault_freq_flags(p)
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_classify)
 

@@ -27,7 +27,7 @@ __all__ = [
     "extract_feature_vector",
 ]
 
-DEFAULT_BAND_FRACTION = 0.02
+DEFAULT_BAND_FRACTION = 0.02  # BLEHNR searches each defect period within +-2%
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,12 @@ def fault_frequencies(geometry, shaft_hz):
     return FaultFrequencies(bpfo_hz=bpfo, bpfi_hz=bpfi, bsf_hz=bsf)
 
 
-def _band_lags(n_samples, sample_rate_hz, fault_hz, band_fraction):
-    if not (0 < band_fraction <= 0.2):
-        raise ValueError("band_fraction must lie in (0, 0.2]")
+def _band_lags(n_samples, sample_rate_hz, fault_hz):
     period_samples = sample_rate_hz / fault_hz
     if period_samples < 2.0:
         raise ValueError(f"fault period {fault_hz} Hz spans fewer than 2 samples")
-    lo = math.ceil((1.0 - band_fraction) * period_samples)
-    hi = math.floor((1.0 + band_fraction) * period_samples)
+    lo = math.ceil((1.0 - DEFAULT_BAND_FRACTION) * period_samples)
+    hi = math.floor((1.0 + DEFAULT_BAND_FRACTION) * period_samples)
     if lo > hi:
         raise ValueError("search band is empty after rounding to integer lags")
     if hi >= n_samples:
@@ -148,31 +146,29 @@ def _band_lags(n_samples, sample_rate_hz, fault_hz, band_fraction):
     return lo, hi
 
 
-def _band_peaks(signal, fault_hzs, band_fraction):
+def _band_peaks(signal, fault_hzs):
     """Envelope autocorrelation peak in each fault's lag band, from one autocorrelation."""
-    bands = [
-        _band_lags(len(signal), signal.sample_rate_hz, hz, band_fraction) for hz in fault_hzs
-    ]
+    bands = [_band_lags(len(signal), signal.sample_rate_hz, hz) for hz in fault_hzs]
     env = hilbert_envelope(signal)
     acf = autocorrelation(env.samples, max(hi for _, hi in bands))
     return [float(np.max(acf[lo : hi + 1])) for lo, hi in bands]
 
 
-def blehnr(signal, fault_hz, band_fraction=DEFAULT_BAND_FRACTION):
+def blehnr(signal, fault_hz):
     """Band-limited envelope harmonic-to-noise ratio at a fault frequency.
 
     Highest value of the envelope's normalized autocorrelation over integer
-    lags within ``(1 ± band_fraction) / fault_hz``, bounded in [-1, 1].
+    lags within ``(1 ± DEFAULT_BAND_FRACTION) / fault_hz``, bounded in [-1, 1].
     """
-    return _band_peaks(signal, (fault_hz,), band_fraction)[0]
+    return _band_peaks(signal, (fault_hz,))[0]
 
 
-def extract_feature_vector(signal, faults, band_fraction=DEFAULT_BAND_FRACTION):
+def extract_feature_vector(signal, faults):
     """Assemble the five-feature vector for one signal snapshot.
 
     Kurtosis and the l1/l2 ratio come from the raw samples; the three
     BLEHNR features share a single envelope autocorrelation evaluated out
     to the largest requested lag.
     """
-    peaks = _band_peaks(signal, (faults.bpfo_hz, faults.bpfi_hz, faults.bsf_hz), band_fraction)
+    peaks = _band_peaks(signal, (faults.bpfo_hz, faults.bpfi_hz, faults.bsf_hz))
     return FeatureVector(kurtosis(signal.samples), lp_lq_norm(signal.samples, 1, 2), *peaks)

@@ -273,7 +273,8 @@ class RunToFailureFiles(SnapshotFiles):
 
         A :class:`Skipped` outcome is recorded in ``errors`` and left out.  With
         no signal the error says why: the ``channel`` is out of range in every
-        parsed file, or it cites the first three files' errors.
+        parsed file, or it cites the first three files' errors, or, with no
+        timestamped file, the first three names that are no timestamp.
         """
         pairs = list(zip(self.paths, outcomes))
         errors = self.errors + [(str(p), o.message) for p, o in pairs if isinstance(o, Skipped)]
@@ -285,9 +286,10 @@ class RunToFailureFiles(SnapshotFiles):
         if parsed and all(not 0 <= self.channel < width for _, width in parsed):
             raise ValueError(f"channel {self.channel} is out of range in all {len(parsed)} "
                              f"parseable snapshots in {self.directory}")
-        cited = parsed or outcomes
+        cited = ([message for message, _ in parsed or outcomes]
+                 or [f"{Path(path).name}: {message}" for path, message in self.errors])
         more = f"; and {len(cited) - 3} more" if len(cited) > 3 else ""
-        why = ": " + "; ".join(message for message, _ in cited[:3]) + more if cited else ""
+        why = ": " + "; ".join(cited[:3]) + more
         if parsed:
             raise ValueError(f"no parseable snapshot in {self.directory} gives a signal on "
                              f"channel {self.channel}{why}")

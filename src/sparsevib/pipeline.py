@@ -15,7 +15,7 @@ import numpy as np
 
 from .core_signal import Signal, convolve_valid
 from .errors import _require_whole, naming
-from .features import FEATURE_NAMES, DEFAULT_BAND_FRACTION, extract_feature_vector
+from .features import FEATURE_NAMES, extract_feature_vector
 from .health_models import (
     FeatureMatrix,
     VatResult,
@@ -67,7 +67,7 @@ class SnapshotFit:
     final_cost: float
 
 
-def _snapshot(signals, faults, filter_length, band_fraction, i):
+def _snapshot(signals, faults, filter_length, i):
     """Snapshot ``i``'s raw features, fit and filtered features, as one :class:`SnapshotFit`.
 
     ``signals[i]`` reads the file when ``signals`` is an ``ingest`` sequence,
@@ -84,10 +84,10 @@ def _snapshot(signals, faults, filter_length, band_fraction, i):
         return signal
     name = signals.paths[i].name if hasattr(signals, "paths") else f"snapshot {i + 1}"
     with naming(name):
-        raw = extract_feature_vector(signal, faults, band_fraction).as_array()
+        raw = extract_feature_vector(signal, faults).as_array()
         fit = fit_simplified_csf(signal, filter_length)
         enhanced = Signal(fit.filtered, signal.sample_rate_hz)
-        filtered = extract_feature_vector(enhanced, faults, band_fraction).as_array()
+        filtered = extract_feature_vector(enhanced, faults).as_array()
     return SnapshotFit(raw=raw, filtered=filtered, iterations=fit.iterations,
                        converged=fit.converged, stop=fit.stop,
                        initial_cost=float(fit.cost_history[0]),
@@ -221,7 +221,6 @@ def assess_sequence(
     filter_length=DEFAULT_FILTER_LENGTH,
     som_config=None,
     n_train=20,
-    band_fraction=DEFAULT_BAND_FRACTION,
 ):
     """SOM-MQE health assessment over an ordered snapshot sequence.
 
@@ -237,7 +236,7 @@ def assess_sequence(
     if n_train < 2:
         raise ValueError(f"n_train must be at least 2, got {n_train}")
     _require_snapshots(len(signals), n_train)  # a run's file count bounds its signals from above
-    fits = _fan_out(partial(_snapshot, signals, faults, filter_length, band_fraction), len(signals))
+    fits = _fan_out(partial(_snapshot, signals, faults, filter_length), len(signals))
     parse_errors = []
     if isinstance(signals, RunToFailureFiles):
         sequence = signals.sequence(fits)
@@ -291,7 +290,6 @@ def classify_dataset(
     dataset,
     faults,
     filter_length=DEFAULT_FILTER_LENGTH,
-    band_fraction=DEFAULT_BAND_FRACTION,
     n_restarts=10,
     seed=0,
 ):
@@ -308,7 +306,7 @@ def classify_dataset(
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     _require_whole(seed=seed)
     signals = dataset.signals
-    fits = _fan_out(partial(_snapshot, signals, faults, filter_length, band_fraction), len(signals))
+    fits = _fan_out(partial(_snapshot, signals, faults, filter_length), len(signals))
     raw_matrix, filtered_matrix = _feature_matrices(fits)
     k = len(classes)
     return ClassificationReport(

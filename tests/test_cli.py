@@ -6,15 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsevib import FaultSimConfig, SomConfig, gaussian_with_outlier, pipeline, sparse_filter
-from sparsevib.cli import (_config_from_args, _input_mode_args, _som_config_from_args,
-                           build_parser, main)
+from sparsevib import (FaultFrequencies, FaultSimConfig, SomConfig, gaussian_with_outlier,
+                       pipeline, sparse_filter)
+from sparsevib.cli import _config_from_args, _som_config_from_args, build_parser, main
 from sparsevib.features import FEATURE_NAMES
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -68,6 +69,48 @@ def sim_csv(tmp_path):
     return out
 
 
+FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
+FAST_SIM = FaultSimConfig(snr_db=0.0, n_samples=4096, damping_rate=2000.0)
+
+
+def write_record(path, signal):
+    """``signal`` as a one-channel snapshot file, with a ``<name>.json`` sidecar giving its rate."""
+    from sparsevib import write_ims_file
+
+    write_ims_file(path, signal.samples[:, None])
+    Path(f"{path}.json").write_text(json.dumps({"sample_rate_hz": signal.sample_rate_hz}))
+
+
+def write_degradation_run(run_dir, n_files, onset, base=FAST_SIM):
+    """``make_degradation_sequence`` as a run-to-failure directory; returns the signals."""
+    from sparsevib import make_degradation_sequence
+
+    signals = make_degradation_sequence(n_files, onset, base)
+    run_dir.mkdir()
+    for k, signal in enumerate(signals):
+        write_record(run_dir / f"2004.02.12.10.{k:02d}.39", signal)
+    return signals
+
+
+def write_taxonomy_manifest(directory, n_per_class, base=FAST_SIM):
+    """``make_fault_taxonomy_dataset`` as records and a manifest; returns it and the dataset."""
+    from sparsevib import make_fault_taxonomy_dataset
+
+    dataset = make_fault_taxonomy_dataset(n_per_class, base)
+    lines = []
+    for i, (signal, label) in enumerate(zip(dataset.signals, dataset.labels)):
+        write_record(directory / f"rec{i}.txt", signal)
+        lines.append(f"rec{i}.txt,{label}")
+    manifest = directory / "taxonomy.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest, dataset
+
+
+def assess_run(run_dir, out, *flags):
+    return run(["assess", "--input-dir", str(run_dir), "--channel", "0", *FAULTS, *flags,
+                "-o", str(out)])
+
+
 class TestSimulate:
     def test_writes_csv_and_sidecar(self, sim_csv):
         lines = sim_csv.read_text().splitlines()
@@ -100,7 +143,7 @@ class TestSimulate:
 
         out = tmp_path / "clean.csv"
         assert run(["simulate", "--fault", "outer", "--seed", "3", "--n-samples", "2048",
-                    "--noiseless", "-o", str(out)]) == 0
+                    "--snr-db", "inf", "-o", str(out)]) == 0
         sidecar = json.loads((tmp_path / "clean.csv.json").read_text())
         jsonschema.validate(sidecar, load_schema("sidecar_simulate.schema.json"))
         assert sidecar["config"]["snr_db"] is None
@@ -119,8 +162,6 @@ class TestSimulate:
         (["simulate", "--damping-rate", "nan"], "damping_rate must be positive and finite"),
         (["simulate", "--fault", "inner", "--shaft-hz", "inf"],
          "shaft_hz must be positive and finite"),
-        (["assess", "--simulate-degradation", "--snr-db", "nan",
-          "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snr_db must be a number or +inf"),
     ])
     @pytest.mark.filterwarnings("error")  # no numpy warning on the way
     def test_non_finite_value_is_validation_error(self, tmp_path, capsys, argv, message):
@@ -225,6 +266,19 @@ class TestFeatures:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, load_schema("features.schema.json"))
         assert payload["features"]["blehnr_bpfo"] > payload["features"]["blehnr_bpfi"]
+        assert payload["sample_rate_hz"] == 20000.0  # the simulate sidecar's
+
+    def test_payload_records_the_sample_rate(self, sim_csv, tmp_path):
+        # One record read at two rates: the BLEHNR lags, and so the features, differ.
+        payloads = []
+        for rate in ("20000", "50000"):
+            out = tmp_path / f"features{rate}.json"
+            assert run(["features", "--input", str(sim_csv), "--sample-rate", rate, *FAULTS,
+                        "-o", str(out)]) == 0
+            payloads.append(json.loads(out.read_text()))
+            jsonschema.validate(payloads[-1], load_schema("features.schema.json"))
+        assert [payload.pop("sample_rate_hz") for payload in payloads] == [20000.0, 50000.0]
+        assert payloads[0]["features"] != payloads[1]["features"]
 
     def test_geometry_path(self, sim_csv, tmp_path):
         out = tmp_path / "features.json"
@@ -299,14 +353,10 @@ class TestFeatures:
 
 class TestAssess:
     def test_simulated_degradation(self, tmp_path):
+        write_degradation_run(tmp_path / "run", 25, 10)
         out = tmp_path / "mqe.csv"
-        code = run([
-            "assess", "--simulate-degradation", "--n-files", "25", "--onset", "10",
-            "--n-train", "8", "--n-samples", "4096", "--snr-db", "0",
-            "--damping-rate", "2000", "--som-epochs", "50",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "--filter-length", "50", "--seed", "0", "-o", str(out),
-        ])
+        code = assess_run(tmp_path / "run", out, "--n-train", "8", "--som-epochs", "50",
+                          "--filter-length", "50", "--seed", "0")
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "file_index,mqe_raw,mqe_filtered"
@@ -319,20 +369,15 @@ class TestAssess:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, schema)
         assert report["n_train"] == 8
-        config = report["source"]["simulated_degradation"]["config"]
-        assert config["fault_components"] == ["outer"]
+        assert report["source"] == {"input_dir": str(tmp_path / "run"), "channel": 0,
+                                    "sample_rate_hz": None, "parse_errors": []}
         check_filter_fits(report["filter_fits"], 25)
 
     def test_save_models_round_trip(self, tmp_path):
+        write_degradation_run(tmp_path / "run", 12, 6)
         out = tmp_path / "mqe.csv"
-        code = run([
-            "assess", "--simulate-degradation", "--n-files", "12", "--onset", "6",
-            "--n-train", "6", "--n-samples", "4096", "--snr-db", "0",
-            "--damping-rate", "2000", "--som-epochs", "30",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "--filter-length", "50", "--save-models", str(tmp_path / "som"),
-            "-o", str(out),
-        ])
+        code = assess_run(tmp_path / "run", out, "--n-train", "6", "--som-epochs", "30",
+                          "--filter-length", "50", "--save-models", str(tmp_path / "som"))
         assert code == 0
         from sparsevib import SomModel
         model = SomModel.load(tmp_path / "som_filtered.json")
@@ -343,32 +388,28 @@ class TestAssess:
         assert payload["config"] == report["som"]
 
     def test_som_grid_sets_its_own_radius(self, tmp_path):
+        write_degradation_run(tmp_path / "run", 6, 4, replace(FAST_SIM, n_samples=2048))
         out = tmp_path / "mqe.csv"
-        code = run([
-            "assess", "--simulate-degradation", "--n-files", "6", "--onset", "4",
-            "--n-train", "4", "--n-samples", "2048", "--som-grid", "2x4", "--som-epochs", "5",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "--filter-length", "16", "-o", str(out),
-        ])
+        code = assess_run(tmp_path / "run", out, "--n-train", "4", "--som-grid", "2x4",
+                          "--som-epochs", "5", "--filter-length", "16")
         assert code == 0
         som = json.loads((tmp_path / "mqe.csv.json").read_text())["som"]
         assert som == {"grid_rows": 2, "grid_cols": 4, "epochs": 5, "seed": 0}
 
-    def test_too_few_snapshots(self, tmp_path):
-        code = run([
-            "assess", "--simulate-degradation", "--n-files", "10", "--onset", "5",
-            "--n-train", "10", "--n-samples", "4096",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "-o", str(tmp_path / "mqe.csv"),
-        ])
+    def test_too_few_snapshots(self, tmp_path, capsys):
+        # Six timestamped files are enough for --n-train 5 until one of them gives no signal.
+        write_degradation_run(tmp_path / "run", 5, 2, replace(FAST_SIM, n_samples=2048))
+        (tmp_path / "run" / "2004.02.12.10.02.40").write_text("junk\n")
+        code = assess_run(tmp_path / "run", tmp_path / "mqe.csv", "--n-train", "5",
+                          "--filter-length", "16")
         assert code == 1
+        assert capsys.readouterr().err == "error: need at least 6 snapshots, got 5\n"
 
-    def test_noiseless_rejected(self, tmp_path):
+    def test_noiseless_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run(["assess", "--simulate-degradation", "--noiseless",
-                 "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-                 "-o", str(tmp_path / "mqe.csv")])
+            assess_run(tmp_path / "run", tmp_path / "mqe.csv", "--noiseless")
         assert excinfo.value.code == 2
+        assert "error: unrecognized arguments: --noiseless" in capsys.readouterr().err
 
     def test_channel_out_of_range_is_validation_error(self, tmp_path, capsys):
         from sparsevib import write_ims_file
@@ -474,11 +515,9 @@ class TestAssess:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
-        code = run([
-            "assess", "--simulate-degradation", "--n-files", "6", "--onset", "3",
-            "--n-train", n_train, "--n-samples", "2048", "--filter-length", "16",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "mqe.csv"),
-        ])
+        write_degradation_run(tmp_path / "run", 6, 3, replace(FAST_SIM, n_samples=2048))
+        code = assess_run(tmp_path / "run", tmp_path / "mqe.csv", "--n-train", n_train,
+                          "--filter-length", "16")
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "n_train" in err
@@ -493,18 +532,16 @@ class TestAssess:
                 "-o", str(tmp_path / "mqe.csv"),
             ])
         assert excinfo.value.code == 2
-        assert "error: --channel is required with --input-dir" in capsys.readouterr().err
+        assert "error: the following arguments are required: --channel" in capsys.readouterr().err
 
 
 class TestClassify:
     def test_simulated_taxonomy(self, tmp_path):
+        manifest, _ = write_taxonomy_manifest(tmp_path, 2, replace(FAST_SIM, snr_db=-3.0))
         outdir = tmp_path / "cls"
         code = run([
-            "classify", "--simulate-taxonomy", "--n-per-class", "2",
-            "--n-samples", "4096", "--snr-db", "-3", "--damping-rate", "2000",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-            "--filter-length", "50", "--restarts", "5", "--seed", "0",
-            "-o", str(outdir),
+            "classify", "--manifest", str(manifest), *FAULTS,
+            "--filter-length", "50", "--restarts", "5", "--seed", "0", "-o", str(outdir),
         ])
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
@@ -515,6 +552,7 @@ class TestClassify:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, schema)
         assert len(report["labels"]) == 16
+        assert report["source"] == {"manifest": str(manifest), "sample_rate_hz": None}
         check_filter_fits(report["filter_fits"], 16)
         vat = np.loadtxt(outdir / "vat_filtered.csv", delimiter=",")
         assert vat.shape == (16, 16)
@@ -555,9 +593,9 @@ class TestClassify:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_simplified_csf", counted_fit)
+        manifest, _ = write_taxonomy_manifest(tmp_path, 1, replace(FAST_SIM, n_samples=2048))
         code = run([
-            "classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048",
-            "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
+            "classify", "--manifest", str(manifest), *FAULTS,
             "--filter-length", "16", "--restarts", "0", "-o", str(tmp_path / "cls"),
         ])
         assert code == 1
@@ -567,17 +605,16 @@ class TestClassify:
 
     @pytest.mark.parametrize("argv", [
         ["simulate"],
-        ["classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048"],
         ["classify", "--manifest", "{manifest}"],
-        ["assess", "--simulate-degradation", "--n-files", "4", "--onset", "2", "--n-train", "3",
-         "--n-samples", "2048"],
+        ["assess", "--input-dir", "{run}", "--channel", "0", "--n-train", "3"],
         ["gradcheck", "--trials", "1"],
-    ], ids=["simulate", "classify-taxonomy", "classify-manifest", "assess", "gradcheck"])
+    ], ids=["simulate", "classify-manifest", "assess", "gradcheck"])
     def test_negative_seed_rejected_before_fits(self, tmp_path, capsys, monkeypatch, argv):
         fits = []
         monkeypatch.setattr(pipeline, "fit_simplified_csf", lambda *args: fits.append(args))
         manifest = write_manifest(tmp_path, taxonomy_signals(2))
-        argv = [arg.format(manifest=manifest) for arg in argv]
+        write_degradation_run(tmp_path / "run", 4, 2, replace(FAST_SIM, n_samples=2048))
+        argv = [arg.format(manifest=manifest, run=tmp_path / "run") for arg in argv]
         if argv[0] in ("classify", "assess"):
             argv += ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
         if argv[0] != "gradcheck":
@@ -672,8 +709,9 @@ def test_fit_and_feature_errors_name_the_file(tmp_path, capsys, argv, samples, m
 
 @pytest.mark.parametrize("command", ["features", "assess"])
 def test_infinite_sample_rate_is_validation_error(sim_csv, tmp_path, capsys, command):
+    write_degradation_run(tmp_path / "run", 4, 2, replace(FAST_SIM, n_samples=2048))
     argv = {"features": ["features", "--input", str(sim_csv)],
-            "assess": ["assess", "--simulate-degradation"]}[command]
+            "assess": ["assess", "--input-dir", str(tmp_path / "run"), "--channel", "0"]}[command]
     code = run([*argv, "--sample-rate", "inf", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
                 "-o", str(tmp_path / "out")])
     assert code == 1
@@ -703,8 +741,6 @@ def taxonomy_signals(n):
 
 @needs_affinity
 class TestCpuCount:
-    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
-
     def outputs_on_one_and_all_cpus(self, argv, out):
         with one_cpu():
             assert run(argv + ["-o", str(out / "one")]) == 0
@@ -712,9 +748,10 @@ class TestCpuCount:
         return out / "one", out / "all"
 
     def test_classify_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        manifest, _ = write_taxonomy_manifest(tmp_path, 2)
         one, every = self.outputs_on_one_and_all_cpus([
-            "classify", "--simulate-taxonomy", "--n-per-class", "2", "--n-samples", "4096",
-            *self.FAULTS, "--filter-length", "50", "--restarts", "3",
+            "classify", "--manifest", str(manifest), *FAULTS, "--filter-length", "50",
+            "--restarts", "3",
         ], tmp_path)
         names = sorted(p.name for p in one.iterdir())
         assert names == sorted(p.name for p in every.iterdir()) and "report.json" in names
@@ -722,17 +759,17 @@ class TestCpuCount:
             assert (one / name).read_bytes() == (every / name).read_bytes(), name
 
     def test_assess_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        write_degradation_run(tmp_path / "run", 8, 5)
         one, every = self.outputs_on_one_and_all_cpus([
-            "assess", "--simulate-degradation", "--n-files", "8", "--onset", "5",
-            "--n-train", "4", "--n-samples", "4096", "--som-epochs", "10",
-            *self.FAULTS, "--filter-length", "50",
+            "assess", "--input-dir", str(tmp_path / "run"), "--channel", "0", "--n-train", "4",
+            "--som-epochs", "10", *FAULTS, "--filter-length", "50",
         ], tmp_path)
         assert one.read_bytes() == every.read_bytes()  # the MQE CSV
         assert Path(f"{one}.json").read_bytes() == Path(f"{every}.json").read_bytes()
 
     def errors_on_one_and_all_cpus(self, manifest, capsys, *flags):
         argv = ["classify", "--manifest", str(manifest), "--sample-rate", "20000",
-                *self.FAULTS, *flags, "-o", str(manifest.parent / "cls")]
+                *FAULTS, *flags, "-o", str(manifest.parent / "cls")]
         with one_cpu():
             assert run(argv) == 1
         first = capsys.readouterr().err
@@ -754,6 +791,48 @@ class TestCpuCount:
         err = self.errors_on_one_and_all_cpus(write_manifest(tmp_path, signals), capsys,
                                               "--filter-length", "200")
         assert err == "error: sig4.txt: filter_length 200 exceeds N/2 for N=300\n"
+
+
+class TestFilesGiveTheLibraryResults:
+    """The file commands on written simulated records give the library's results in memory."""
+
+    FREQUENCIES = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
+
+    def test_assess_input_dir_gives_assess_sequence(self, tmp_path):
+        from sparsevib import assess_sequence
+
+        signals = write_degradation_run(tmp_path / "run", 12, 6)
+        out = tmp_path / "mqe.csv"
+        assert assess_run(tmp_path / "run", out, "--n-train", "5", "--som-epochs", "20",
+                          "--filter-length", "32") == 0
+        want = assess_sequence(signals, self.FREQUENCIES, 32, SomConfig(epochs=20), n_train=5)
+        mqe = np.loadtxt(out, delimiter=",", skiprows=1)
+        report = json.loads(Path(f"{out}.json").read_text())
+        assert want.filtered.alarm_index is not None
+        for column, name in ((1, "raw"), (2, "filtered")):
+            branch = getattr(want, name)
+            assert np.array_equal(mqe[:, column], branch.mqe)
+            assert report[name]["threshold"] == branch.threshold
+            assert report[name]["alarm_index"] == branch.alarm_index
+
+    def test_classify_manifest_gives_classify_dataset(self, tmp_path):
+        from sparsevib import classify_dataset
+
+        manifest, dataset = write_taxonomy_manifest(tmp_path, 2)
+        outdir = tmp_path / "cls"
+        assert run(["classify", "--manifest", str(manifest), *FAULTS, "--filter-length", "32",
+                    "--restarts", "3", "-o", str(outdir)]) == 0
+        want = classify_dataset(dataset, self.FREQUENCIES, 32, n_restarts=3)
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["labels"] == want.labels
+        for name in ("raw", "filtered"):
+            branch = getattr(want, name)
+            scores = np.loadtxt(outdir / f"scores_{name}.csv", delimiter=",", skiprows=1,
+                                usecols=(2, 3, 4))
+            assert np.array_equal(scores[:, :2], branch.scores)
+            assert np.array_equal(scores[:, 2], branch.kmeans_labels)
+            assert report[name]["purity"] == branch.purity
+            assert report[name]["vat_order"] == branch.vat.order.tolist()
 
 
 def fake_affinity(monkeypatch, n_cpus):
@@ -786,11 +865,9 @@ def write_run(data, lengths):
 class TestReadInTheUnit:
     """``assess --input-dir`` and ``classify --manifest`` read each file in the unit that fits it."""
 
-    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
-
     def assess(self, data, out, *flags):
         return run(["assess", "--input-dir", str(data), "--channel", "1", "--sample-rate", "20000",
-                    *self.FAULTS, *flags, "-o", str(out)])
+                    *FAULTS, *flags, "-o", str(out)])
 
     def test_input_dir_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         from sparsevib import iterate_run_to_failure
@@ -830,7 +907,7 @@ class TestReadInTheUnit:
         lines = manifest.read_text().splitlines()
         lines.insert(3, "missing.txt,outer")  # the third record
         argv = ["classify", "--manifest", str(manifest), "--sample-rate", "20000",
-                *self.FAULTS, "--filter-length", "50", "-o", str(tmp_path / "cls")]
+                *FAULTS, "--filter-length", "50", "-o", str(tmp_path / "cls")]
         reads, read = [], ingest.read_ims_file
         monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
 
@@ -853,8 +930,6 @@ UNKNOWN_RATE = "sample rate unknown; pass --sample-rate or provide a sidecar"
 class TestSampleRate:
     """Every file input takes ``--sample-rate``, or else each file's ``<name>.json`` sidecar's rate."""
 
-    FAULTS = ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
-
     @pytest.mark.parametrize("command", ["filter", "features", "classify"])
     def test_unknown_rate_names_the_file(self, tmp_path, capsys, command):
         from sparsevib import write_ims_file
@@ -863,8 +938,8 @@ class TestSampleRate:
                        header="sample")
         (tmp_path / "runs.csv").write_text("rec.csv,outer\nrec.csv,normal\n")
         argv = {"filter": ["filter", "--input", str(tmp_path / "rec.csv")],
-                "features": ["features", "--input", str(tmp_path / "rec.csv"), *self.FAULTS],
-                "classify": ["classify", "--manifest", str(tmp_path / "runs.csv"), *self.FAULTS]}
+                "features": ["features", "--input", str(tmp_path / "rec.csv"), *FAULTS],
+                "classify": ["classify", "--manifest", str(tmp_path / "runs.csv"), *FAULTS]}
         assert run([*argv[command], "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: rec.csv: {UNKNOWN_RATE}\n"
 
@@ -887,7 +962,7 @@ class TestSampleRate:
         out = tmp_path / "mqe.csv"
         assert run(["assess", "--input-dir", str(tmp_path / "run"), "--channel", "0",
                     "--n-train", "3", "--som-epochs", "5", "--filter-length", "32",
-                    *self.FAULTS, "-o", str(out)]) == 0
+                    *FAULTS, "-o", str(out)]) == 0
         report = json.loads(Path(f"{out}.json").read_text())
         jsonschema.validate(report, load_schema("report_assess.schema.json"))
         assert report["source"]["parse_errors"] == [[str(bare), f"{bare.name}: {UNKNOWN_RATE}"]]
@@ -900,7 +975,7 @@ class TestSampleRate:
         for minute in range(4):
             (data / f"2004.02.12.10.{minute:02d}.39").write_text("0.5\n-0.25\n" * 1024)
         code = run(["assess", "--input-dir", str(data), "--channel", "0", "--n-train", "2",
-                    *self.FAULTS, "-o", str(tmp_path / "mqe.csv")])
+                    *FAULTS, "-o", str(tmp_path / "mqe.csv")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: no parseable snapshot files in {data}: "
@@ -920,7 +995,7 @@ class TestSampleRate:
                                 "--n-train", "2"]}[mode]
         reads, read = [], ingest.read_ims_file
         monkeypatch.setattr(ingest, "read_ims_file", lambda *args: reads.append(1) or read(*args))
-        assert run([*argv, "--sample-rate", rate, *self.FAULTS, "-o", str(tmp_path / "out")]) == 1
+        assert run([*argv, "--sample-rate", rate, *FAULTS, "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: sample_rate_hz must be positive and finite\n"
         assert reads == []
 
@@ -936,7 +1011,7 @@ class TestSampleRate:
         want = []
         for k, record in enumerate(records):
             out = tmp_path / f"features{k}.json"
-            assert run(["features", "--input", str(record), *self.FAULTS, "-o", str(out)]) == 0
+            assert run(["features", "--input", str(record), *FAULTS, "-o", str(out)]) == 0
             values = json.loads(out.read_text())["features"]
             want.append([values[name] for name in FEATURE_NAMES])
         faults = FaultFrequencies(100.0, 160.0, 70.0)
@@ -955,7 +1030,7 @@ class TestSampleRate:
             reports = []
             for rate in ([], ["--sample-rate", "50000"]):
                 out = tmp_path / f"{name}{len(rate)}"
-                assert run([*argv, *rate, *self.FAULTS, "--filter-length", "32",
+                assert run([*argv, *rate, *FAULTS, "--filter-length", "32",
                             "-o", str(out)]) == 0
                 report = out / "report.json" if name == "classify" else Path(f"{out}.json")
                 reports.append(json.loads(report.read_text()))
@@ -973,10 +1048,10 @@ def _perfbench_workloads():
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [
-        ["assess", "--simulate-degradation", "--fault", "inner"],
-        ["assess", "--simulate-degradation", "--inner-hz", "150"],
-        ["assess", "--simulate-degradation", "--roller-hz", "60"],
-        ["classify", "--simulate-taxonomy", "--fault", "outer"],
+        ["assess", "--input-dir", "run", "--channel", "0", "--fault", "inner"],
+        ["assess", "--input-dir", "run", "--channel", "0", "--inner-hz", "150"],
+        ["assess", "--input-dir", "run", "--channel", "0", "--roller-hz", "60"],
+        ["classify", "--manifest", "m.csv", "--fault", "outer"],
     ])
     def test_flags_that_did_nothing_are_rejected(self, argv, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -991,8 +1066,8 @@ class TestFlags:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("mode", [["filter", "--input", "signal.csv"],
-                                      ["assess", "--simulate-degradation"],
-                                      ["classify", "--simulate-taxonomy"]])
+                                      ["assess", "--input-dir", "run", "--channel", "0"],
+                                      ["classify", "--manifest", "m.csv"]])
     @pytest.mark.parametrize("flag", ["--epsilon", "--max-iterations", "--gradient-tolerance"])
     def test_removed_fit_flags_are_rejected(self, mode, flag, tmp_path, capsys):
         # The cost's smoothing, the iteration cap and the stops are sparse_filter constants.
@@ -1006,23 +1081,19 @@ class TestFlags:
 
     @pytest.mark.parametrize("mode, name", [
         (["filter", "--input", "{sim_csv}"], "signal.csv"),
-        (["assess", "--simulate-degradation", "--n-files", "4", "--onset", "2", "--n-train", "3",
-          "--n-samples", "2048", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snapshot 1"),
-        (["classify", "--simulate-taxonomy", "--n-per-class", "1", "--n-samples", "2048",
-          "--bpfo", "100", "--bpfi", "160", "--bsf", "70"], "snapshot 1"),
+        (["assess", "--input-dir", "{run}", "--channel", "0", "--n-train", "3", *FAULTS],
+         "2004.02.12.10.00.39"),
+        (["classify", "--manifest", "{manifest}", *FAULTS], "rec0.txt"),
     ])
     def test_filter_length_below_two_is_validation_error(self, sim_csv, mode, name, tmp_path,
                                                          capsys):
-        argv = [arg.format(sim_csv=sim_csv) for arg in mode]
+        short = replace(FAST_SIM, n_samples=2048)
+        write_degradation_run(tmp_path / "run", 4, 2, short)
+        manifest, _ = write_taxonomy_manifest(tmp_path, 1, short)
+        argv = [arg.format(sim_csv=sim_csv, run=tmp_path / "run", manifest=manifest)
+                for arg in mode]
         assert run([*argv, "--filter-length", "1", "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {name}: filter_length must be at least 2\n"
-
-    def test_channel_rejected_with_simulated_input(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run(["assess", "--simulate-degradation", "--channel", "7",
-                 "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(tmp_path / "mqe.csv")])
-        assert excinfo.value.code == 2
-        assert "error: --channel is read only with --input-dir" in capsys.readouterr().err
 
     SIMULATION_ONLY = [("--snr-db", "0"), ("--n-samples", "4096"), ("--resonance-hz", "3000"),
                        ("--damping-rate", "900"), ("--outer-hz", "100"), ("--jitter", "0.01")]
@@ -1033,15 +1104,37 @@ class TestFlags:
         *[(["classify", "--manifest", "m.csv"], flag, value)
           for flag, value in [("--n-per-class", "3"), *SIMULATION_ONLY,
                               ("--inner-hz", "150"), ("--roller-hz", "60")]],
+        # Flags that once shaped the other command's simulated input.
+        *[(["assess", "--input-dir", "run", "--channel", "0"], flag, value)
+          for flag, value in [("--n-per-class", "3"), ("--inner-hz", "150"), ("--roller-hz", "60")]],
+        *[(["classify", "--manifest", "m.csv"], flag, value)
+          for flag, value in [("--n-files", "30"), ("--onset", "10")]],
     ])
     def test_simulation_flags_rejected_with_file_input(self, mode, flag, value, tmp_path,
                                                        capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run(mode + [flag, value, "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-                        "-o", str(tmp_path / "out")])
+            run(mode + [flag, value, *FAULTS, "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: {flag} is read only with simulated input" in err
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+
+    ASSESS_RUN = ["assess", "--input-dir", "run", "--channel", "0"]
+
+    @pytest.mark.parametrize("argv, given", [
+        *[([*mode, switch], switch)
+          for mode in (ASSESS_RUN, ["classify", "--manifest", "m.csv"])
+          for switch in ("--simulate-degradation", "--simulate-taxonomy")],
+        # BLEHNR's band is the constant features.DEFAULT_BAND_FRACTION.
+        *[([*mode, "--band-fraction", "0.02"], "--band-fraction 0.02")
+          for mode in (["features", "--input", "signal.csv"], ASSESS_RUN,
+                       ["classify", "--manifest", "m.csv"])],
+        (["simulate", "--noiseless"], "--noiseless"),  # --snr-db inf is noiseless
+    ])
+    def test_removed_switches_and_flags_are_rejected(self, argv, given, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + [*FAULTS, "-o", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert f"error: unrecognized arguments: {given}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [
         ["features", "--input", "signal.csv"],
@@ -1054,18 +1147,7 @@ class TestFlags:
                         "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: --shaft-hz is read with {mode[1]} only together with --geometry" in err
-
-    def test_simulated_input_reads_shaft_hz(self):
-        parser = build_parser()
-        for argv in (["assess", "--simulate-degradation", "-o", "mqe.csv"],
-                     ["classify", "--simulate-taxonomy", "-o", "out"]):
-            args = parser.parse_args(argv + ["--shaft-hz", "25", "--bpfo", "100",
-                                             "--bpfi", "160", "--bsf", "70"])
-            args = _input_mode_args(args, None)
-            assert _config_from_args(FaultSimConfig, args).shaft_hz == 25.0
-            args = _input_mode_args(parser.parse_args(argv), None)
-            assert args.shaft_hz == FaultSimConfig().shaft_hz
+        assert "error: --shaft-hz is read only together with --geometry" in err
 
     def test_benchmark_command_lines_run(self, tmp_path):
         workloads = _perfbench_workloads()
@@ -1087,14 +1169,16 @@ class TestFlags:
         assert sparse_filter.DEFAULT_FILTER_LENGTH == 100
         args = parser.parse_args(["filter", "--input", "x.csv", "-o", "y.csv"])
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
-        args = parser.parse_args(["assess", "--simulate-degradation", "-o", "mqe.csv"])
-        assert _som_config_from_args(args) == SomConfig()
+        args = parser.parse_args(["assess", "--input-dir", "run", "--channel", "0", "-o", "mqe.csv"])
+        assert _som_config_from_args(args) == SomConfig()  # the seed too
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
-        assert _config_from_args(FaultSimConfig, args) == FaultSimConfig()
         assert args.n_train == default_of(pipeline.assess_sequence, "n_train")
-        args = parser.parse_args(["classify", "--simulate-taxonomy", "-o", "out"])
-        assert args.n_restarts == default_of(pipeline.classify_dataset, "n_restarts")
+        assert args.sample_rate_hz is None and args.shaft_hz is None
+        args = parser.parse_args(["classify", "--manifest", "m.csv", "-o", "out"])
+        for name in ("n_restarts", "seed"):
+            assert getattr(args, name) == default_of(pipeline.classify_dataset, name)
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
+        assert args.sample_rate_hz is None and args.shaft_hz is None
         args = parser.parse_args(["gradcheck"])
         params = inspect.signature(pipeline.gradient_check).parameters
         assert {name: getattr(args, name) for name in params} == {

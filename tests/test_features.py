@@ -139,8 +139,8 @@ class TestFaultFrequencies:
 class TestBlehnr:
     def test_detects_fault_period(self):
         sig = simulate_bearing_fault(OUTER_100)
-        at_fault = blehnr(sig, 100.0, 0.02)
-        off_fault = blehnr(sig, 137.0, 0.02)
+        at_fault = blehnr(sig, 100.0)
+        off_fault = blehnr(sig, 137.0)
         assert at_fault > 0.5
         assert at_fault > off_fault
 
@@ -162,15 +162,10 @@ class TestBlehnr:
         assert -1.0 <= value <= 1.0
 
     def test_empty_band_rejected(self):
-        # period 2.5 samples: +-0.1% band rounds to an empty integer range
+        # period 2.5 samples: the +-2% band, lags 2.45 to 2.55, holds no integer
         sig = Signal(np.sin(np.arange(4096.0)), 20000.0)
-        with pytest.raises(ValueError):
-            blehnr(sig, 8000.0, 0.001)
-
-    def test_band_fraction_validated(self):
-        sig = simulate_bearing_fault(OUTER_100)
-        with pytest.raises(ValueError):
-            blehnr(sig, 100.0, 0.5)
+        with pytest.raises(ValueError, match="search band is empty"):
+            blehnr(sig, 8000.0)
 
 
 class TestExtractFeatureVector:

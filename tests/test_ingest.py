@@ -256,6 +256,17 @@ class TestIterateRunToFailure:
         assert "2004.02.12.10.32.39: sample row 2 of channel 0 is nan" in message
         assert "2004.02.12.10.42.39: signal needs at least 2 samples" in message
 
+    def test_no_timestamped_name_cites_the_names(self, tmp_path):
+        for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+            make_snapshot(tmp_path / name, seed=3)
+        with pytest.raises(FileNotFoundError) as excinfo:
+            iterate_run_to_failure(tmp_path, 0, 20000.0)
+        assert str(excinfo.value) == (
+            f"no parseable snapshot files in {tmp_path}: "
+            + "; ".join(f"{name}: filename does not encode a timestamp"
+                        for name in ("a.txt", "b.txt", "c.txt"))
+            + "; and 1 more")
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             iterate_run_to_failure(tmp_path, 0, 20000.0)

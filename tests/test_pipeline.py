@@ -24,7 +24,6 @@ from sparsevib import (
     write_ims_file,
 )
 from sparsevib import ingest, pipeline, sparse_filter
-from sparsevib.features import DEFAULT_BAND_FRACTION
 from sparsevib.ingest import RunToFailureFiles
 from sparsevib.simulate import LabeledDataset
 
@@ -41,8 +40,8 @@ def snapshot_features(signals, filter_length):
     Returns the raw-branch and filtered-branch feature matrices and the
     :class:`SnapshotFit` of each signal.
     """
-    fits = pipeline._fan_out(partial(pipeline._snapshot, signals, FAULTS, filter_length,
-                                     DEFAULT_BAND_FRACTION), len(signals))
+    fits = pipeline._fan_out(partial(pipeline._snapshot, signals, FAULTS, filter_length),
+                             len(signals))
     return (*pipeline._feature_matrices(fits), fits)
 
 
