@@ -3,7 +3,7 @@
 Every output file gets a JSON sidecar (or report) carrying the full
 configuration, and the seed of whatever is drawn at random, so any result
 can be regenerated from its own metadata.  Exit codes: 0 success,
-1 validation or tolerance failure, 2 I/O or parse failure.
+1 validation failure, 2 I/O or parse failure.
 """
 
 import argparse
@@ -23,14 +23,12 @@ from .errors import DegenerateInputError, NumericalFailureError, SignalParseErro
 from .features import (
     DEFAULT_BAND_FRACTION,
     FEATURE_NAMES,
-    BearingGeometry,
     FaultFrequencies,
     extract_feature_vector,
-    fault_frequencies,
 )
 from .health_models import SomConfig
 from .ingest import RunToFailureFiles, SnapshotFiles, read_manifest, write_ims_file
-from .pipeline import assess_sequence, classify_dataset, filter_signal, gradient_check
+from .pipeline import assess_sequence, classify_dataset, filter_signal
 from .simulate import FaultSimConfig, simulate_bearing_fault
 from .sparse_filter import STOP_REASONS
 
@@ -70,37 +68,10 @@ def _json_dict(items):
     return {k: None if isinstance(v, float) and math.isinf(v) else v for k, v in items}
 
 
-class _UsageError(Exception):
-    """A flag given without the one that reads it; ``main`` exits 2 through the parser."""
-
-
 def _config_from_args(cls, args, **fixed):
     """A ``cls`` from the parsed flags whose dest names one of its fields, then ``fixed``."""
     names = {f.name for f in fields(cls)}
     return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **fixed})
-
-
-def _fault_frequencies_from_args(args):
-    explicit = [args.bpfo, args.bpfi, args.bsf]
-    has_geometry = args.geometry is not None
-    if args.shaft_hz is not None and not has_geometry:
-        raise _UsageError("--shaft-hz is read only together with --geometry")
-    if has_geometry and any(v is not None for v in explicit):
-        raise ValueError("give either --geometry with --shaft-hz, or explicit --bpfo/--bpfi/--bsf")
-    if has_geometry:
-        try:
-            n, d, big_d, angle = (float(t) for t in args.geometry.split(","))
-            if not n.is_integer():  # a roller count; nan and inf fail too
-                raise ValueError
-        except ValueError:
-            raise ValueError("--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad")
-        if args.shaft_hz is None:
-            raise ValueError("--geometry needs --shaft-hz")
-        geometry = BearingGeometry(int(n), d, big_d, angle)
-        return fault_frequencies(geometry, args.shaft_hz)
-    if all(v is not None for v in explicit):
-        return FaultFrequencies(bpfo_hz=args.bpfo, bpfi_hz=args.bpfi, bsf_hz=args.bsf)
-    raise ValueError("fault frequencies required: --bpfo/--bpfi/--bsf or --geometry + --shaft-hz")
 
 
 # Flags that set a config field: flag -> (field, further argparse keywords).
@@ -109,7 +80,7 @@ def _fault_frequencies_from_args(args):
 _FIELD_FLAGS = {
     "--fault": ("fault_components", {"type": lambda text: tuple(filter(None, text.split(","))),
                                      "help": "comma list from {outer,inner,roller}; empty = normal"}),
-    "--snr-db": ("snr_db", {"help": "signal-to-noise ratio, dB; inf for a noiseless signal"}),
+    "--snr-db": ("snr_db", {"help": "signal-to-noise ratio, dB, within +-3000; inf for a noiseless signal"}),
     "--n-samples": ("n_samples", {}),
     "--sample-rate": ("sample_rate_hz", {}),
     "--resonance-hz": ("resonance_hz", {}),
@@ -155,13 +126,13 @@ def _fit_summary(fits):
 
 
 def _add_fault_freq_flags(parser):
-    """Fault-frequency flags and ``--sample-rate``."""
-    parser.add_argument("--bpfo", type=float, help="outer-race defect frequency, Hz")
-    parser.add_argument("--bpfi", type=float, help="inner-race defect frequency, Hz")
-    parser.add_argument("--bsf", type=float, help="roller defect frequency, Hz")
-    parser.add_argument("--geometry", help="n,roller_diameter,pitch_diameter,contact_angle_rad")
-    parser.add_argument("--shaft-hz", dest="shaft_hz", type=float,
-                        help="shaft speed for --geometry, Hz")
+    """The ``FaultFrequencies`` flags, each required, and ``--sample-rate``."""
+    parser.add_argument("--bpfo", dest="bpfo_hz", type=float, required=True,
+                        help="outer-race defect frequency, Hz")
+    parser.add_argument("--bpfi", dest="bpfi_hz", type=float, required=True,
+                        help="inner-race defect frequency, Hz")
+    parser.add_argument("--bsf", dest="bsf_hz", type=float, required=True,
+                        help="roller defect frequency, Hz")
     _add_sample_rate_flag(parser)  # each defect period is searched at fs / f lags
 
 
@@ -217,7 +188,7 @@ def cmd_filter(args):
 
 
 def cmd_features(args):
-    faults = _fault_frequencies_from_args(args)
+    faults = _config_from_args(FaultFrequencies, args)
     signal = SnapshotFiles([args.input], 0, args.sample_rate_hz)[0]
     with naming(Path(args.input).name):
         vector = extract_feature_vector(signal, faults)
@@ -230,13 +201,7 @@ def cmd_features(args):
         "features": values,
     }
     out = _out_path(args.output)
-    if args.format == "json":
-        _write_json(out, payload)
-    else:
-        with open(out, "w") as fh:
-            fh.write(",".join(FEATURE_NAMES) + "\n")
-            fh.write(",".join(f"{values[k]:.17g}" for k in FEATURE_NAMES) + "\n")
-        _write_sidecar(out, payload)
+    _write_json(out, payload)
     print(" ".join(f"{k}={values[k]:.4g}" for k in FEATURE_NAMES))
     print(f"wrote {out}")
     return EXIT_OK
@@ -258,7 +223,7 @@ def _assess_branch_block(branch):
 
 
 def cmd_assess(args):
-    faults = _fault_frequencies_from_args(args)
+    faults = _config_from_args(FaultFrequencies, args)
     signals = RunToFailureFiles(args.input_dir, args.channel, args.sample_rate_hz)
     som_config = _som_config_from_args(args)
     report = assess_sequence(signals, faults, args.filter_length, som_config, n_train=args.n_train)
@@ -293,7 +258,7 @@ def cmd_assess(args):
 
 
 def cmd_classify(args):
-    faults = _fault_frequencies_from_args(args)
+    faults = _config_from_args(FaultFrequencies, args)
     dataset = read_manifest(args.manifest, args.sample_rate_hz)
     report = classify_dataset(dataset, faults, args.filter_length,
                               n_restarts=args.n_restarts, seed=args.seed)
@@ -332,23 +297,6 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def cmd_gradcheck(args):
-    if not 0 <= args.tolerance < math.inf:
-        raise ValueError(f"tolerance must be non-negative and finite, got {args.tolerance}")
-    errors = gradient_check(n_trials=args.n_trials, n_samples=args.n_samples,
-                            filter_length=args.filter_length, step=args.step,
-                            seed=args.seed)
-    worst = float(errors.max())
-    print(f"{args.n_trials} trials (N={args.n_samples}, l={args.filter_length}, "
-          f"step={args.step:g}): "
-          f"max relative error {worst:.3e}")
-    if not worst <= args.tolerance:  # a NaN error fails too
-        print(f"FAIL: exceeds tolerance {args.tolerance:g}")
-        return EXIT_VALIDATION
-    print(f"OK: within tolerance {args.tolerance:g}")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sparsevib",
@@ -375,7 +323,6 @@ def build_parser():
     p = sub.add_parser("features", help="extract the scale-invariant feature vector")
     p.add_argument("--input", required=True)
     _add_fault_freq_flags(p)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_features)
 
@@ -400,13 +347,6 @@ def build_parser():
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gradcheck", help="verify the analytic gradient against finite differences")
-    _add_param_flags(p, gradient_check, {"--trials": "n_trials", "--n": "n_samples",
-                                         "--filter-length": "filter_length", "--step": "step",
-                                         "--seed": "seed"})
-    p.add_argument("--tolerance", type=float, default=1e-5)
-    p.set_defaults(func=cmd_gradcheck)
-
     return parser
 
 
@@ -415,8 +355,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except (SignalParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

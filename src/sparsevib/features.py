@@ -48,6 +48,8 @@ class BearingGeometry:
         if not math.isfinite(self.contact_angle_rad):
             raise ValueError("contact_angle_rad must be finite")
         ratio = self.roller_diameter / self.pitch_diameter
+        if ratio == 0.0:
+            raise ValueError("roller_diameter / pitch_diameter underflows to 0")
         if abs(ratio * math.cos(self.contact_angle_rad)) >= 1.0:
             raise ValueError("invalid geometry: |cos(angle) * d/D| must be < 1")
 
@@ -137,12 +139,13 @@ def _band_lags(n_samples, sample_rate_hz, fault_hz):
     period_samples = sample_rate_hz / fault_hz
     if period_samples < 2.0:
         raise ValueError(f"fault period {fault_hz} Hz spans fewer than 2 samples")
+    reach = (1.0 + DEFAULT_BAND_FRACTION) * period_samples
+    if reach >= n_samples:  # before rounding: an infinite period reaches past any record
+        raise ValueError("search band extends past the available signal length")
     lo = math.ceil((1.0 - DEFAULT_BAND_FRACTION) * period_samples)
-    hi = math.floor((1.0 + DEFAULT_BAND_FRACTION) * period_samples)
+    hi = math.floor(reach)
     if lo > hi:
         raise ValueError("search band is empty after rounding to integer lags")
-    if hi >= n_samples:
-        raise ValueError("search band extends past the available signal length")
     return lo, hi
 
 

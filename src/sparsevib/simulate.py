@@ -28,6 +28,10 @@ __all__ = [
 
 COMPONENT_ORDER = ("outer", "inner", "roller")
 
+# 10 ** (snr_db / 10) and its reciprocal, times a clean power of at most 9
+# (three unit-RMS components), stay well inside the float range.
+MAX_SNR_DB = 3000.0
+
 # Failure-mode taxonomy: which fault components each class combines.
 TAXONOMY = {
     "F1": (),
@@ -45,8 +49,9 @@ TAXONOMY = {
 class FaultSimConfig:
     """Parameters of one synthetic vibration snapshot.
 
-    ``snr_db`` may be ``math.inf`` for a noiseless signal.  An empty
-    ``fault_components`` tuple produces pure unit-variance noise.
+    ``snr_db`` may be ``math.inf`` for a noiseless signal; a finite one lies
+    within ``MAX_SNR_DB``, so its power ratio and noise power stay finite.
+    An empty ``fault_components`` tuple produces pure unit-variance noise.
     """
 
     fault_components: tuple = ()
@@ -79,8 +84,12 @@ class FaultSimConfig:
             raise ValueError("damping_rate must be positive and finite")
         if not (0 < self.shaft_hz < math.inf):
             raise ValueError("shaft_hz must be positive and finite")
+        if math.isinf(math.pi * self.shaft_hz):  # the shaft modulation's phase rate
+            raise ValueError("shaft_hz is too large: pi * shaft_hz overflows")
         if not (self.snr_db > -math.inf):  # +inf is a noiseless signal
             raise ValueError("snr_db must be a number or +inf")
+        if math.isfinite(self.snr_db) and abs(self.snr_db) > MAX_SNR_DB:
+            raise ValueError(f"snr_db must lie within +-{MAX_SNR_DB:g} dB, or be +inf")
         if not (0 <= self.period_jitter_fraction <= 0.05):
             raise ValueError("period_jitter_fraction must lie in [0, 0.05]")
         for name in self.fault_components:
@@ -104,9 +113,12 @@ class LabeledDataset:
 
 
 def _resonance_kernel(config):
-    """Unit decaying resonance exp(-beta t) sin(2 pi f_r t), truncated at 0.01%."""
+    """Unit decaying resonance exp(-beta t) sin(2 pi f_r t), truncated at 0.01% or the record.
+
+    Kernel samples past the record's length never reach its output.
+    """
     t_end = -math.log(1e-4) / config.damping_rate
-    n_kernel = max(int(math.ceil(t_end * config.sample_rate_hz)), 8)
+    n_kernel = max(math.ceil(min(t_end * config.sample_rate_hz, config.n_samples)), 8)
     t = np.arange(n_kernel) / config.sample_rate_hz
     return np.exp(-config.damping_rate * t) * np.sin(2 * math.pi * config.resonance_hz * t)
 
@@ -121,7 +133,7 @@ def _impulse_train(rng, config, fault_hz):
     pos = 0.0
     while True:
         pos += period * (1.0 + jitter * rng.uniform(-1.0, 1.0))
-        idx = int(round(pos))
+        idx = round(min(pos, n))  # an infinite period reaches n too
         if idx >= n:
             break
         spikes[idx] = 1.0
@@ -144,6 +156,8 @@ def _clean_signal(rng, config):
     """
     n = config.n_samples
     clean = np.zeros(n)
+    if not config.fault_components:
+        return clean
     kernel = _resonance_kernel(config)
     size = _next_fast_len(n + kernel.size - 1)
     kernel_spectrum = np.fft.rfft(kernel, size)

@@ -162,6 +162,9 @@ class TestSimulate:
         (["simulate", "--damping-rate", "nan"], "damping_rate must be positive and finite"),
         (["simulate", "--fault", "inner", "--shaft-hz", "inf"],
          "shaft_hz must be positive and finite"),
+        # Finite, but 10 ** (snr_db / 10) or its reciprocal is not.
+        *[(["simulate", "--fault", "outer", "--snr-db", snr_db],
+           "snr_db must lie within +-3000 dB, or be +inf") for snr_db in ("-4000", "4000", "-3200")],
     ])
     @pytest.mark.filterwarnings("error")  # no numpy warning on the way
     def test_non_finite_value_is_validation_error(self, tmp_path, capsys, argv, message):
@@ -169,6 +172,17 @@ class TestSimulate:
         assert run([*argv, "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--fault", "outer", "--outer-hz", "1e-320"],  # an infinite period: no impulse
+        ["--damping-rate", "1e-300"],  # a kernel longer than the record
+        ["--fault", "outer", "--damping-rate", "1e-300"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_in_range_values_give_a_record(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", *argv, "--n-samples", "2048", "-o", str(out)]) == 0
+        assert len(np.loadtxt(out, skiprows=1)) == 2048
 
 
 class TestFilter:
@@ -280,37 +294,9 @@ class TestFeatures:
         assert [payload.pop("sample_rate_hz") for payload in payloads] == [20000.0, 50000.0]
         assert payloads[0]["features"] != payloads[1]["features"]
 
-    def test_geometry_path(self, sim_csv, tmp_path):
-        out = tmp_path / "features.json"
-        code = run(["features", "--input", str(sim_csv),
-                    "--geometry", "8,1,4,0", "--shaft-hz", "10", "-o", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["fault_frequencies_hz"]["bpfo"] == pytest.approx(30.0)
-
-    def test_geometry_without_shaft_speed_is_validation_error(self, sim_csv, tmp_path, capsys):
-        code = run(["features", "--input", str(sim_csv), "--geometry", "8,1,4,0",
-                    "-o", str(tmp_path / "f.json")])
-        assert code == 1
-        assert "--geometry needs --shaft-hz" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("geometry, message", [
-        ("9,1,inf,0", "require 0 < roller_diameter < pitch_diameter, both finite"),
-        ("9,1,4,nan", "contact_angle_rad must be finite"),
-        ("9.5,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
-        ("nan,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
-        ("inf,1,4,0", "--geometry expects n,roller_diameter,pitch_diameter,contact_angle_rad"),
-    ])
-    def test_bad_geometry_is_validation_error(self, sim_csv, tmp_path, capsys, geometry, message):
-        code = run(["features", "--input", str(sim_csv), "--geometry", geometry,
-                    "--shaft-hz", "30", "-o", str(tmp_path / "f.json")])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-
     @pytest.mark.parametrize("faults, message", [
         (["--bpfo", "inf", "--bpfi", "160", "--bsf", "70"], "bpfo_hz must be positive and finite"),
         (["--bpfo", "100", "--bpfi", "160", "--bsf", "nan"], "bsf_hz must be positive and finite"),
-        (["--geometry", "9,1,4,0", "--shaft-hz", "inf"], "shaft_hz must be positive and finite"),
     ])
     def test_infinite_fault_frequency_fails_before_the_read(self, sim_csv, tmp_path, capsys,
                                                             monkeypatch, faults, message):
@@ -323,13 +309,6 @@ class TestFeatures:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert reads == []
 
-    def test_mutually_exclusive_sources(self, sim_csv, tmp_path):
-        code = run(["features", "--input", str(sim_csv),
-                    "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-                    "--geometry", "8,1,4,0", "--shaft-hz", "10",
-                    "-o", str(tmp_path / "f.json")])
-        assert code == 1
-
     @pytest.mark.parametrize("sidecar", [
         '[]', '{"sample_rate_hz": "abc"}', '{"sample_rate_hz": Infinity}',
         pytest.param('{"sample_rate_hz": 1%s}' % ("0" * 400), id="integer_beyond_float")])
@@ -340,15 +319,6 @@ class TestFeatures:
                     "-o", str(tmp_path / "f.json")])
         assert code == 1
         assert "signal.csv.json" in capsys.readouterr().err
-
-    def test_csv_format(self, sim_csv, tmp_path):
-        out = tmp_path / "features.csv"
-        code = run(["features", "--input", str(sim_csv), "--format", "csv",
-                    "--bpfo", "100", "--bpfi", "160", "--bsf", "70", "-o", str(out)])
-        assert code == 0
-        header, row = out.read_text().splitlines()
-        assert header.split(",")[0] == "kurtosis"
-        assert len(row.split(",")) == 5
 
 
 class TestAssess:
@@ -607,8 +577,7 @@ class TestClassify:
         ["simulate"],
         ["classify", "--manifest", "{manifest}"],
         ["assess", "--input-dir", "{run}", "--channel", "0", "--n-train", "3"],
-        ["gradcheck", "--trials", "1"],
-    ], ids=["simulate", "classify-manifest", "assess", "gradcheck"])
+    ], ids=["simulate", "classify-manifest", "assess"])
     def test_negative_seed_rejected_before_fits(self, tmp_path, capsys, monkeypatch, argv):
         fits = []
         monkeypatch.setattr(pipeline, "fit_simplified_csf", lambda *args: fits.append(args))
@@ -617,9 +586,7 @@ class TestClassify:
         argv = [arg.format(manifest=manifest, run=tmp_path / "run") for arg in argv]
         if argv[0] in ("classify", "assess"):
             argv += ["--bpfo", "100", "--bpfi", "160", "--bsf", "70"]
-        if argv[0] != "gradcheck":
-            argv += ["-o", str(tmp_path / "out")]
-        assert run([*argv, "--seed", "-1"]) == 1
+        assert run([*argv, "-o", str(tmp_path / "out"), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be a non-negative whole number, got -1\n"
         assert fits == []
 
@@ -696,6 +663,10 @@ def test_non_finite_sample_names_file_and_row(tmp_path, capsys, command):
     (["features", "--bpfo", "100", "--bpfi", "160", "--bsf", "70"],  # finite, near the limit
      [-1.71e308, *np.random.default_rng(0).standard_normal(4095).tolist()],
      "envelope overflowed at this amplitude (largest |sample| 1.71e+308)"),
+    # In range, but fs / bpfo, the defect period in samples, overflows to inf.
+    *[(["features", "--bpfo", bpfo, "--bpfi", "160", "--bsf", "70"],
+       np.random.default_rng(0).standard_normal(4096).tolist(),
+       "search band extends past the available signal length") for bpfo in ("5e-324", "1e-310")],
 ])
 @pytest.mark.filterwarnings("error")  # no numpy warning on the way
 def test_fit_and_feature_errors_name_the_file(tmp_path, capsys, argv, samples, message):
@@ -1095,6 +1066,22 @@ class TestFlags:
         assert run([*argv, "--filter-length", "1", "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {name}: filter_length must be at least 2\n"
 
+    @pytest.mark.parametrize("mode, name", [
+        (["assess", "--input-dir", "{run}", "--channel", "0", "--n-train", "3"],
+         "2004.02.12.10.00.39"),
+        (["classify", "--manifest", "{manifest}"], "rec0.txt"),
+    ])
+    def test_infinite_defect_period_names_the_file(self, mode, name, tmp_path, capsys):
+        # fs / 5e-324 overflows; the fan-out unit's error names the record it read.
+        short = replace(FAST_SIM, n_samples=2048)
+        write_degradation_run(tmp_path / "run", 4, 2, short)
+        manifest, _ = write_taxonomy_manifest(tmp_path, 1, short)
+        argv = [arg.format(run=tmp_path / "run", manifest=manifest) for arg in mode]
+        assert run([*argv, "--bpfo", "5e-324", "--bpfi", "160", "--bsf", "70",
+                    "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name}: search band extends past the available signal length\n")
+
     SIMULATION_ONLY = [("--snr-db", "0"), ("--n-samples", "4096"), ("--resonance-hz", "3000"),
                        ("--damping-rate", "900"), ("--outer-hz", "100"), ("--jitter", "0.01")]
 
@@ -1129,6 +1116,12 @@ class TestFlags:
           for mode in (["features", "--input", "signal.csv"], ASSESS_RUN,
                        ["classify", "--manifest", "m.csv"])],
         (["simulate", "--noiseless"], "--noiseless"),  # --snr-db inf is noiseless
+        # The fault frequencies come only from --bpfo, --bpfi and --bsf; --shaft-hz is simulate's.
+        *[([*mode, *flag], " ".join(flag))
+          for mode in (["features", "--input", "signal.csv"], ASSESS_RUN,
+                       ["classify", "--manifest", "m.csv"])
+          for flag in (["--geometry", "9,1,4,0"], ["--shaft-hz", "25"])],
+        (["features", "--input", "signal.csv", "--format", "csv"], "--format csv"),  # JSON only
     ])
     def test_removed_switches_and_flags_are_rejected(self, argv, given, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1136,18 +1129,23 @@ class TestFlags:
         assert excinfo.value.code == 2
         assert f"error: unrecognized arguments: {given}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", [
-        ["features", "--input", "signal.csv"],
-        ["assess", "--input-dir", "run", "--channel", "0"],
-        ["classify", "--manifest", "m.csv"],
-    ])
-    def test_shaft_hz_rejected_with_file_input_and_no_geometry(self, mode, tmp_path, capsys):
+    def test_gradcheck_command_is_gone(self, capsys):
+        # The gradient check is the library's pipeline.gradient_check (criterion 01).
         with pytest.raises(SystemExit) as excinfo:
-            run(mode + ["--shaft-hz", "25", "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
-                        "-o", str(tmp_path / "out")])
+            run(["gradcheck"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'gradcheck'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["features", "--input", "signal.csv"], ASSESS_RUN,
+                                         ["classify", "--manifest", "m.csv"]])
+    @pytest.mark.parametrize("missing", range(3))
+    def test_each_fault_frequency_is_required(self, command, missing, tmp_path, capsys):
+        faults = [*FAULTS[:2 * missing], *FAULTS[2 * missing + 2:]]
+        with pytest.raises(SystemExit) as excinfo:
+            run([*command, *faults, "-o", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "error: --shaft-hz is read only together with --geometry" in err
+        assert f"error: the following arguments are required: {FAULTS[2 * missing]}" in err
 
     def test_benchmark_command_lines_run(self, tmp_path):
         workloads = _perfbench_workloads()
@@ -1169,20 +1167,17 @@ class TestFlags:
         assert sparse_filter.DEFAULT_FILTER_LENGTH == 100
         args = parser.parse_args(["filter", "--input", "x.csv", "-o", "y.csv"])
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
-        args = parser.parse_args(["assess", "--input-dir", "run", "--channel", "0", "-o", "mqe.csv"])
+        args = parser.parse_args(["assess", "--input-dir", "run", "--channel", "0", *FAULTS,
+                                  "-o", "mqe.csv"])
         assert _som_config_from_args(args) == SomConfig()  # the seed too
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
         assert args.n_train == default_of(pipeline.assess_sequence, "n_train")
-        assert args.sample_rate_hz is None and args.shaft_hz is None
-        args = parser.parse_args(["classify", "--manifest", "m.csv", "-o", "out"])
+        assert args.sample_rate_hz is None
+        args = parser.parse_args(["classify", "--manifest", "m.csv", *FAULTS, "-o", "out"])
         for name in ("n_restarts", "seed"):
             assert getattr(args, name) == default_of(pipeline.classify_dataset, name)
         assert args.filter_length == sparse_filter.DEFAULT_FILTER_LENGTH
-        assert args.sample_rate_hz is None and args.shaft_hz is None
-        args = parser.parse_args(["gradcheck"])
-        params = inspect.signature(pipeline.gradient_check).parameters
-        assert {name: getattr(args, name) for name in params} == {
-            name: param.default for name, param in params.items()}
+        assert args.sample_rate_hz is None
 
 
 def default_of(func, name):
@@ -1200,45 +1195,6 @@ class TestReadmePipeline:
         assert run(["features", "--input", str(enhanced),
                     "--bpfo", "100", "--bpfi", "160", "--bsf", "70",
                     "-o", str(tmp_path / "features.json")]) == 0
-
-
-class TestGradcheck:
-    def test_default_passes(self, capsys):
-        code = run(["gradcheck", "--trials", "5", "--n", "128", "--filter-length", "16"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max relative error" in out
-        assert "OK" in out
-
-    def test_zero_trials_rejected(self, capsys):
-        code = run(["gradcheck", "--trials", "0"])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err and "n_trials" in err
-
-    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
-    def test_step_must_be_positive_and_finite(self, capsys, step):
-        code = run(["gradcheck", "--trials", "1", "--step", step])
-        assert code == 1
-        assert f"step must be positive and finite, got {float(step)}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_tolerance_must_be_non_negative_and_finite(self, capsys, tolerance):
-        # No error can exceed a NaN tolerance, so it would pass every check.
-        code = run(["gradcheck", "--trials", "2", "--tolerance", tolerance])
-        assert code == 1
-        assert (f"tolerance must be non-negative and finite, got {float(tolerance)}"
-                in capsys.readouterr().err)
-
-    def test_nan_error_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(pipeline, "csf_gradient", lambda signal, w: np.full(w.size, np.nan))
-        assert run(["gradcheck", "--trials", "2"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_tight_tolerance_fails(self):
-        code = run(["gradcheck", "--trials", "3", "--n", "128",
-                    "--filter-length", "16", "--tolerance", "1e-14"])
-        assert code == 1
 
 
 class TestOutputDirEnv:

@@ -115,6 +115,8 @@ class TestFaultFrequencies:
                                     (1.0, 4.0, math.inf), (math.nan, 4.0, 0.0)):
             with pytest.raises(ValueError):
                 BearingGeometry(8, *diameters_and_angle)
+        with pytest.raises(ValueError, match="roller_diameter / pitch_diameter underflows to 0"):
+            BearingGeometry(9, 1e-200, 1e200)  # fault_frequencies would divide by d/D
         for count in (9.5, 9.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="n_rolling_elements"):
                 BearingGeometry(count, 1.0, 4.0, 0.0)

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import time
@@ -287,3 +288,12 @@ class TestGradientCheck:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             gradient_check(n_trials=0)
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+            gradient_check(n_trials=1, step=step)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative whole number, got -1"):
+            gradient_check(n_trials=1, seed=-1)

@@ -20,7 +20,7 @@ from sparsevib import (
     make_fault_taxonomy_dataset,
     simulate_bearing_fault,
 )
-from sparsevib.simulate import TAXONOMY
+from sparsevib.simulate import TAXONOMY, _impulse_train, _resonance_kernel
 
 FAULTS = FaultFrequencies(bpfo_hz=100.0, bpfi_hz=160.0, bsf_hz=70.0)
 
@@ -96,6 +96,19 @@ class TestSimulateBearingFault:
             with pytest.raises(ValueError, match="seed"):
                 FaultSimConfig(seed=seed)
         FaultSimConfig(snr_db=math.inf)  # noiseless
+
+    def test_resonance_kernel_is_cut_at_the_record(self):
+        # At damping 1/s the 0.01% decay takes 184,207 samples; the record is 4096.
+        config = FaultSimConfig(fault_components=("outer",), damping_rate=1.0, n_samples=4096,
+                                snr_db=math.inf, seed=5)
+        assert _resonance_kernel(config).size == config.n_samples
+        spikes = _impulse_train(np.random.default_rng(config.seed), config, config.outer_fault_hz)
+        t = np.arange(184_207) / config.sample_rate_hz
+        kernel = np.exp(-t) * np.sin(2 * math.pi * config.resonance_hz * t)
+        reference = np.convolve(spikes, kernel)[: config.n_samples]
+        reference /= math.sqrt(np.mean(reference * reference))
+        samples = simulate_bearing_fault(config).samples
+        assert np.max(np.abs(samples - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 class TestGaussianWithOutlier:
