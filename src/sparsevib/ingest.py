@@ -5,13 +5,17 @@ sample, tab-separated sensor channels, and the acquisition timestamp in
 the filename as ``YYYY.MM.DD.HH.MM.SS``.  The same reader and writer serve
 the CLI's one-column signal CSV, which adds a ``sample`` header line.
 A file's sample rate is the caller's, else its ``<name>.json`` sidecar's
-(:class:`SnapshotFiles`).  Every file is decoded by ``_read_text`` and walked by ``_lines``.
+(:class:`SnapshotFiles`).  Every file is read by ``_read_bytes``.  A
+snapshot's fields are counted per line on its bytes, and then only the
+column asked for is parsed (:func:`read_ims_file`); the manifest, and a
+snapshot's lines when they need stripping or hold an error, are walked by
+``_lines``.
 """
 
 import codecs
+import io
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -40,15 +44,17 @@ TIMESTAMP_FORMAT = "%Y.%m.%d.%H.%M.%S"
 
 @dataclass
 class SnapshotFile:
-    """One parsed snapshot: channel matrix (rows = time) plus metadata."""
+    """One parsed snapshot: the columns read (rows = time), the file's width and metadata.
+
+    ``channels`` holds every column when ``channel`` is None, else column
+    ``channel`` alone, or no column when the file has no such column.
+    """
 
     path: Path
     channels: np.ndarray
     sample_rate_hz: float
-
-    @property
-    def n_channels(self):
-        return self.channels.shape[1]
+    n_channels: int
+    channel: int | None = None
 
     def channel_signal(self, channel):
         """One channel as a :class:`Signal` that owns its samples, not a view of the matrix.
@@ -59,7 +65,9 @@ class SnapshotFile:
             if not (0 <= channel < self.n_channels):
                 raise ValueError(f"channel {channel} out of range for "
                                  f"{self.n_channels}-channel file")
-            samples = self.channels[:, channel].copy()
+            if self.channel not in (None, channel):
+                raise ValueError(f"channel {channel} was not read; channel {self.channel} was")
+            samples = self.channels[:, 0 if self.channel is not None else channel].copy()
             bad = np.flatnonzero(~np.isfinite(samples))
             if bad.size:
                 raise ValueError(f"sample row {bad[0] + 1} of channel {channel} "
@@ -75,6 +83,10 @@ def _parse_timestamp(path):
 
 
 def _is_number(token):
+    """Whether ``np.loadtxt`` reads ``token`` as a float: ASCII once stripped, no ``_``."""
+    token = token.strip()
+    if not token.isascii() or "_" in token:
+        return False
     try:
         float(token)
     except ValueError:
@@ -82,78 +94,108 @@ def _is_number(token):
     return True
 
 
-def _read_text(path):
-    """A file's text from one read of its bytes, every newline made ``\\n``.
+def _read_bytes(path):
+    """A file's bytes from one read, every line end made ``\\n``, checked to be UTF-8 text.
 
     ``\\r\\n`` and ``\\r`` end a line too (universal newlines).  Bytes that
-    are not UTF-8 raise at their line, counted with the same line ends.  A
-    leading UTF-8 byte-order mark is dropped before decoding, so the offset
-    of a decode error and the line ends counted before it refer to the same
-    bytes.
+    are not UTF-8 raise at their line.  A leading UTF-8 byte-order mark is
+    dropped.  UTF-8 puts no ``\\r``, ``\\n`` or ``\\t`` byte inside a
+    multi-byte character, so the bytes and their text have the same lines and
+    tabs.  ASCII bytes are UTF-8 as they are; only others are decoded here.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise SignalParseError(f"line {line_no} is not UTF-8 text", line=line_no) from None
-    if "\r" in text:  # a scan costs about a hundredth of the two rewrites
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    if b"\r" in data:  # a scan costs about a hundredth of the two rewrites
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise SignalParseError(f"line {line_no} is not UTF-8 text", line=line_no) from None
+    return data
 
 
 def _lines(text):
-    """``(line_no, stripped)`` for the non-blank lines of a ``_read_text`` text."""
+    """``(line_no, stripped)`` for the non-blank lines of a ``_read_bytes`` text."""
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped:
             yield line_no, stripped
 
 
-def read_ims_file(path, sample_rate_hz):
-    """Parse a tab-separated all-numeric snapshot file.
+def _fields_per_line(data):
+    """Each line's count of tab-separated fields, and whether some line needs stripping.
+
+    A line needs stripping when it is blank or starts or ends with a byte that
+    is not printable ASCII; only for lines that need none is the count the
+    field count of the stripped line.  Works on the bytes, with no line list.
+    """
+    b = np.frombuffer(data, np.uint8)
+    marks = np.flatnonzero(b <= 10)  # tabs and line ends, and the rare control byte
+    kinds = b[marks]
+    ends = marks[kinds == 10]
+    if data and data[-1] != 10:  # the last line has no line end
+        ends = np.append(ends, b.size)
+    tabs = np.searchsorted(marks[kinds == 9], ends)  # tabs before each line end
+    counts = np.diff(tabs, prepend=0) + 1
+    starts = np.append(0, ends[:-1] + 1)[: ends.size]
+    edges = b[np.concatenate([starts, ends - 1])]  # a blank line's first byte is its line end
+    return counts, bool(((edges <= 32) | (edges >= 127)).any())
+
+
+def read_ims_file(path, sample_rate_hz, channel=None):
+    """Parse a tab-separated all-numeric snapshot file: every column, or only ``channel``.
 
     Line 1 is taken as a header and skipped when its first field is not a
-    number; blank and whitespace-only lines are skipped.  Any row count is
-    accepted (real datasets contain truncated files).  A non-numeric token,
-    a ragged row or a byte that is not UTF-8 raises
-    :class:`SignalParseError` carrying the offending 1-based line number.
+    number; blank and whitespace-only lines are skipped, and each line is
+    stripped.  Any row count is accepted (real datasets contain truncated
+    files).  A ragged row, a byte that is not UTF-8 or a non-numeric token in
+    a column that is read raises :class:`SignalParseError` carrying the
+    offending 1-based line number.  With ``channel`` given, only that column
+    is parsed: text in any other column is no error, and when the file has no
+    such column none is parsed, and :meth:`SnapshotFile.channel_signal` says so.
     Every error it raises starts with the file's name.
     """
     path = Path(path)
     with naming(path.name):
-        text = _read_text(path)
-        lines = text.split("\n")
-        has_header = not _is_number(lines[0].strip().split("\t")[0])
+        data = original = _read_bytes(path)
+        end = data.find(b"\n")
+        first = data[: end if end >= 0 else len(data)].decode().strip()
+        has_header = bool(first) and not _is_number(first.split("\t")[0])
+        counts, needs_strip = _fields_per_line(data)
+        if needs_strip:
+            data = "\n".join(stripped for _, stripped in _lines(data.decode())).encode()
+            counts, _ = _fields_per_line(data)
+        rows = counts[int(has_header):]
+        if rows.size == 0:
+            raise SignalParseError("file contains no samples")
+        width = int(rows[0])
+        in_range = channel is None or 0 <= channel < width
         try:
-            with warnings.catch_warnings():
-                # An empty file is reported below as a SignalParseError.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                channels = np.loadtxt(
-                    (line.strip() for line in lines), delimiter="\t", comments=None,
-                    skiprows=int(has_header), ndmin=2,
-                )
+            if (rows != width).any():
+                raise ValueError("ragged")  # the walk below finds the line
+            channels = (np.loadtxt(io.BytesIO(data), delimiter="\t", comments=None,
+                                   encoding="utf-8", skiprows=int(has_header), usecols=channel,
+                                   ndmin=2)
+                        if in_range else np.empty((rows.size, 0)))
         except ValueError as exc:
             # np.loadtxt numbers rows from 0 with blank lines left out, so its row
             # is not the file line: walk the text to the first malformed line.
-            width = None
-            for line_no, stripped in _lines(text):
+            # The columns read: all, column ``channel``, or none when the file has no such column.
+            read = slice(None) if channel is None else slice(channel, channel + in_range)
+            for line_no, stripped in _lines(original.decode()):
                 if line_no == 1 and has_header:
                     continue
                 tokens = stripped.split("\t")
-                if not all(map(_is_number, tokens)):
+                if not all(map(_is_number, tokens[read])):
                     raise SignalParseError(f"non-numeric content on line {line_no}",
                                            line=line_no) from None
-                if width is None:
-                    width = len(tokens)
-                elif len(tokens) != width:
+                if len(tokens) != width:
                     raise SignalParseError(f"expected {width} columns on line {line_no}, "
                                            f"got {len(tokens)}", line=line_no) from None
             raise SignalParseError(str(exc)) from None
-        if channels.size == 0:
-            raise SignalParseError("file contains no samples")
-        return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz))
+        return SnapshotFile(path=path, channels=channels, sample_rate_hz=float(sample_rate_hz),
+                            n_channels=width, channel=channel)
 
 
 def write_ims_file(path, channels, header=None):
@@ -198,7 +240,9 @@ def _sample_rate(path, sample_rate_hz):
 class SnapshotFiles:
     """Channel ``channel`` of each of ``paths``, read when indexed: ``files[i]`` reads file ``i``.
 
-    A given ``sample_rate_hz`` is checked before any read; None takes each file's sidecar rate.
+    Each read parses that column alone (``read_ims_file(path, rate, channel)``), so text in
+    another column is no error.  A given ``sample_rate_hz`` is checked before any read; None
+    takes each file's sidecar rate.
     """
 
     def __init__(self, paths, channel, sample_rate_hz):
@@ -212,8 +256,9 @@ class SnapshotFiles:
         return len(self.paths)
 
     def read(self, i):
-        """File ``i`` as a :class:`SnapshotFile`, every channel of it."""
-        return read_ims_file(self.paths[i], _sample_rate(self.paths[i], self.sample_rate_hz))
+        """File ``i`` as a :class:`SnapshotFile` that holds column ``channel`` alone."""
+        return read_ims_file(self.paths[i], _sample_rate(self.paths[i], self.sample_rate_hz),
+                             self.channel)
 
     def __getitem__(self, i):
         return self.read(i).channel_signal(self.channel)
@@ -317,7 +362,7 @@ def read_manifest(path, sample_rate_hz):
     path = Path(path)
     with naming(path.name):
         paths, labels = [], []
-        for line_no, stripped in _lines(_read_text(path)):
+        for line_no, stripped in _lines(_read_bytes(path).decode()):
             if line_no == 1 and stripped.lower().startswith("path"):
                 continue
             file_path, _, label = (t.strip() for t in stripped.partition(","))

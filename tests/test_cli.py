@@ -397,6 +397,24 @@ class TestAssess:
         assert code == 1
         assert "channel 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channel", ["-1", "2"])
+    def test_channel_out_of_range_in_every_file(self, tmp_path, capsys, channel):
+        # -1 must not read the last column, and 2 is the width of these 2-column files.
+        from sparsevib import write_ims_file
+
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        for stamp in ("2004.02.12.10.32.39", "2004.02.12.10.42.39", "2004.02.12.10.52.39"):
+            write_ims_file(data / stamp, rng.standard_normal((1024, 2)))
+        code = run([
+            "assess", "--input-dir", str(data), "--channel", channel, "--n-train", "2",
+            "--sample-rate", "20000", *FAULTS, "-o", str(tmp_path / "mqe.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: channel {channel} is out of range in all 3 parseable snapshots in {data}\n")
+
     def test_too_few_files_fail_before_any_read(self, tmp_path, capsys, monkeypatch):
         from sparsevib import ingest, write_ims_file
 

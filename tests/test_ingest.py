@@ -7,7 +7,7 @@ from sparsevib import (
     read_ims_file,
     write_ims_file,
 )
-from sparsevib.ingest import RunToFailureFiles, SnapshotFiles, read_manifest
+from sparsevib.ingest import RunToFailureFiles, Skipped, SnapshotFiles, read_manifest
 
 
 def make_snapshot(path, rows=16, cols=4, seed=0):
@@ -106,6 +106,13 @@ class TestReadImsFile:
         snapshot = read_ims_file(path, 20000.0)
         assert snapshot.channels.tolist() == [[1.5, -2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("channel", [None, 1])
+    def test_blank_line_1_is_no_header(self, tmp_path, channel):
+        path = tmp_path / "signal.csv"
+        path.write_text("\n  \n1\t2\n3\t4\n")
+        snapshot = read_ims_file(path, 20000.0, channel)
+        assert snapshot.channels.tolist() == ([[1, 2], [3, 4]] if channel is None else [[2], [4]])
+
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "signal.csv"
         path.write_text("sample\n\n")
@@ -136,6 +143,55 @@ class TestReadImsFile:
         with pytest.raises(ValueError):
             snapshot.channel_signal(2)
 
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"])
+    def test_token_that_only_python_reads_cites_its_line(self, tmp_path, token):
+        # float() reads "1_000" and the Arabic-Indic digit one; np.loadtxt reads neither.
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_text(f"1\t2\n3\t{token}\n5\t6\n")
+        for channel in (None, 1):
+            with pytest.raises(SignalParseError, match="non-numeric content on line 2") as excinfo:
+                read_ims_file(path, 20000.0, channel)
+            assert excinfo.value.line == 2
+        assert read_ims_file(path, 20000.0, 0).channels[:, 0].tolist() == [1.0, 3.0, 5.0]
+
+    def test_one_channel_read_parses_that_column_alone(self, tmp_path):
+        path = tmp_path / "2004.02.12.10.32.39"
+        matrix = make_snapshot(path, rows=64, cols=4, seed=7)
+        for channel in range(4):
+            snapshot = read_ims_file(path, 20000.0, channel)
+            assert snapshot.channels.shape == (64, 1)
+            assert snapshot.n_channels == 4
+            assert np.array_equal(snapshot.channel_signal(channel).samples, matrix[:, channel])
+            with pytest.raises(ValueError, match=f"channel {(channel + 1) % 4} was not read"):
+                snapshot.channel_signal((channel + 1) % 4)
+
+    def test_text_in_an_unread_column_is_no_error(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("sample\n1\tx\t2\n\n3\t4\t\x00\n")
+        assert read_ims_file(path, 20000.0, 0).channels[:, 0].tolist() == [1.0, 3.0]
+        for channel, line in [(None, 2), (1, 2), (2, 4)]:
+            with pytest.raises(SignalParseError, match=f"non-numeric content on line {line}$"):
+                read_ims_file(path, 20000.0, channel)
+
+    @pytest.mark.parametrize("channel", [None, 0, 1, 2])
+    def test_ragged_row_cites_its_line_whatever_the_channel(self, tmp_path, channel):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"1\t2\r\n\t3\t4\t\r\n5\r\n")
+        with pytest.raises(SignalParseError, match="expected 2 columns on line 3, got 1$") as excinfo:
+            read_ims_file(path, 20000.0, channel)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("channel", [-1, 2, 3])
+    def test_channel_out_of_range_reads_no_column(self, tmp_path, channel):
+        # np.loadtxt(usecols=-1) would read the last column: the width is checked first.
+        path = tmp_path / "2004.02.12.10.32.39"
+        make_snapshot(path, rows=16, cols=2)
+        snapshot = read_ims_file(path, 20000.0, channel)
+        assert snapshot.channels.shape == (16, 0)
+        assert snapshot.n_channels == 2
+        with pytest.raises(ValueError, match=f"channel {channel} out of range for 2-channel file"):
+            snapshot.channel_signal(channel)
 
     @pytest.mark.parametrize("text, message", [
         ("0.1\t0.2\nnan\t0.4\n", "sample row 2 of channel 0 is nan, not a finite number"),
@@ -244,6 +300,29 @@ class TestIterateRunToFailure:
         make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=2, seed=5)
         with pytest.raises(ValueError, match="channel 5"):
             iterate_run_to_failure(tmp_path, 5, 20000.0)
+
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_channel_out_of_range_is_skipped_with_the_width(self, tmp_path, channel):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=2, seed=4)
+        make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=1, seed=5)
+        files = RunToFailureFiles(tmp_path, channel, 20000.0)
+        outcomes = [files[i] for i in range(len(files))]
+        assert [outcome.n_channels for outcome in outcomes] == [2, 1]
+        assert outcomes[0].message == (
+            f"2004.02.12.10.32.39: channel {channel} out of range for 2-channel file")
+        with pytest.raises(ValueError, match=f"^channel {channel} is out of range in all 2 "
+                                             "parseable snapshots"):
+            files.sequence(outcomes)
+
+    def test_one_column_file_read_as_channel_1(self, tmp_path):
+        make_snapshot(tmp_path / "2004.02.12.10.32.39", cols=1, seed=4)
+        make_snapshot(tmp_path / "2004.02.12.10.52.39", cols=2, seed=5)
+        files = RunToFailureFiles(tmp_path, 1, 20000.0)
+        skipped = files[0]
+        assert isinstance(skipped, Skipped)
+        assert skipped == Skipped("2004.02.12.10.32.39: channel 1 out of range for "
+                                  "1-channel file", 1)
+        assert len(files.sequence([files[i] for i in range(len(files))])) == 1
 
     def test_unusable_channel_cites_the_file_errors(self, tmp_path):
         # Every file parses and has channel 0, but none gives a signal on it.
